@@ -7,12 +7,15 @@ transform engine beats the exact engine, mirroring why Concrete and
 Morphling use FFTs at all.
 """
 
+import os
 import time
 
 import numpy as np
 import pytest
 
+from benchmarks.timing import TRIALS, interleaved_walls, median_iqr
 from repro import TEST_PARAMS, TfheContext
+from repro.params import PARAM_SETS
 from repro.tfhe.bootstrap import modulus_switch, programmable_bootstrap, programmable_bootstrap_batch
 from repro.tfhe.decomposition import decompose
 from repro.tfhe.ggsw import external_product, external_product_transform, ggsw_encrypt
@@ -20,7 +23,7 @@ from repro.tfhe.glwe import GlweCiphertext, glwe_encrypt, glwe_rotate, glwe_triv
 from repro.tfhe.lwe import LweCiphertext
 from repro.tfhe.polynomial import from_spectrum
 from repro.tfhe.torus import to_torus
-from repro.transforms import negacyclic_convolve_fft, negacyclic_fft
+from repro.transforms import active_backend_name, negacyclic_convolve_fft, negacyclic_fft
 
 
 @pytest.fixture(scope="module")
@@ -200,4 +203,52 @@ def test_batched_bootstrap_throughput(ctx, bench_record):
         batch16_p50_wall_ms=round(batch_pcts[0.5], 3),
         batch16_p95_wall_ms=round(batch_pcts[0.95], 3),
         batch16_p99_wall_ms=round(batch_pcts[0.99], 3),
+    )
+
+
+def test_set1_batch_throughput(bench_record):
+    """Set-I batch-16 throughput with its spread.
+
+    Median and IQR over interleaved trials of the batch-16 call and the
+    batch-of-one call (per-call fixed costs), after checking the batch
+    against the scalar path bit for bit.  All ``_per_s``/``_wall_ms``
+    values are informational: absolute rates depend on the machine,
+    whose CPU count is recorded alongside.
+    """
+    from repro.tfhe import identity_test_polynomial
+
+    p, batch = 8, 16
+    ctx = TfheContext.create(PARAM_SETS["I"], seed=3)
+    msgs = [m % (p // 2) for m in range(batch)]
+    cts = [ctx.encrypt(m, p) for m in msgs]
+    tp = identity_test_polynomial(ctx.params, p)
+    ctx.keyset.bsk_spectrum_table("double")  # one-time eager pre-transform
+
+    batch_outs = programmable_bootstrap_batch(cts, tp, ctx.keyset)
+    scalar_outs = [programmable_bootstrap(ct, tp, ctx.keyset) for ct in cts[:4]]
+    bit_identical = all(
+        np.array_equal(b.a, s.a) and b.b == s.b
+        for b, s in zip(batch_outs, scalar_outs)
+    )
+    assert bit_identical
+    assert [ctx.decrypt(out, p) for out in batch_outs] == msgs
+
+    walls = interleaved_walls({
+        "batch16": lambda: programmable_bootstrap_batch(cts, tp, ctx.keyset),
+        "batch1": lambda: programmable_bootstrap_batch(cts[:1], tp, ctx.keyset),
+    })
+    batch16_rate, batch16_iqr = median_iqr(batch / walls["batch16"])
+    batch1_rate, batch1_iqr = median_iqr(1 / walls["batch1"])
+    bench_record(
+        "tfhe_substrate@I",
+        backend=active_backend_name(),
+        batch=batch,
+        trials=TRIALS,
+        cpu_count=os.cpu_count() or 1,
+        bit_identical=bit_identical,
+        batch16_bootstraps_per_s=round(batch16_rate, 2),
+        batch16_iqr_bootstraps_per_s=round(batch16_iqr, 2),
+        batch1_bootstraps_per_s=round(batch1_rate, 2),
+        batch1_iqr_bootstraps_per_s=round(batch1_iqr, 2),
+        batch16_p50_wall_ms=round(float(np.median(walls["batch16"])) * 1e3, 1),
     )

@@ -20,9 +20,10 @@ Per-metric policy:
   ``null`` current value means the run could not enforce scaling on
   that machine (informational mode, or fewer CPUs than workers) and is
   reported as a note, never a violation;
-- informational metrics (anything ending in ``_per_s`` or ``_wall_ms``)
-  are collected for trend-watching but never compared - absolute
-  wall-clock throughput and latency percentiles are machine-dependent.
+- informational metrics (anything ending in ``_per_s`` or ``_wall_ms``,
+  and the machine's ``cpu_count``) are collected for trend-watching but
+  never compared - absolute wall-clock throughput and latency
+  percentiles are machine-dependent.
   One newly *added* informational metric (present in the run, absent
   from the baseline) is listed as a note so baseline refreshes are
   visible, not a failure;
@@ -69,9 +70,13 @@ CONDITIONAL_FLOOR_PREFIXES = ("scaling_",)
 #: would silently demote tolerant metrics like ``bootstrap_latency_ms``.
 INFORMATIONAL_SUFFIXES = ("_per_s", "_wall_ms")
 
+#: Descriptions of the machine a run measured on, recorded next to its
+#: wall-clock metrics and, like them, never compared.
+INFORMATIONAL_METRICS = ("cpu_count",)
+
 
 def _is_informational(metric: str) -> bool:
-    return metric.endswith(INFORMATIONAL_SUFFIXES)
+    return metric.endswith(INFORMATIONAL_SUFFIXES) or metric in INFORMATIONAL_METRICS
 
 
 def _is_conditional_floor(metric: str) -> bool:

@@ -26,6 +26,7 @@ axis is last.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..transforms.negacyclic import negacyclic_fft, negacyclic_ifft
 from .torus import TORUS_DTYPE, to_torus
@@ -94,22 +95,24 @@ def monomial_rotate_batch(p: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Per-row monomial multiply ``X^{t} * p`` with a vector of exponents.
 
     ``p`` has shape ``(..., N)``; ``t`` is an integer array broadcastable
-    to ``p.shape[:-1]`` with entries taken modulo ``2N``.  One gather per
-    coefficient replaces the roll-and-negate of :func:`monomial_mul`:
-    ``out[..., j] = s * p[..., (j - t) mod N]`` with ``s = -1`` exactly
-    when ``(j - t) mod 2N >= N`` (the ``X^N = -1`` wraparound).  This is
-    the batched double-pointer rotator: every VPE row reads the same
-    accumulator layout at its own offset.
+    to ``p.shape[:-1]`` with entries taken modulo ``2N``.  Every row is
+    laid out once as the extended row ``[p, -p, p]`` (length ``3N``);
+    ``X^t * p`` is then the contiguous window starting at
+    ``(-t) mod 2N``, since ``X^N = -1`` makes the negacyclic rotation a
+    cyclic one over ``[p, -p]``.  One window gather per row, with no
+    per-coefficient index arithmetic, replaces the roll-and-negate of
+    :func:`monomial_mul`.  This is the batched double-pointer rotator:
+    every VPE row reads the same accumulator layout at its own offset.
     """
     p = np.asarray(p, dtype=TORUS_DTYPE)
     n = p.shape[-1]
-    t = np.broadcast_to(np.asarray(t, dtype=np.int64), p.shape[:-1])
-    idx = (np.arange(n, dtype=np.int64) - t[..., None]) % (2 * n)
-    wrapped = idx >= n
-    idx -= wrapped * n
-    out = np.take_along_axis(p, idx, axis=-1)
-    np.negative(out, out=out, where=wrapped)
-    return out
+    start = np.broadcast_to((-np.asarray(t, dtype=np.int64)) % (2 * n), p.shape[:-1])
+    ext = np.empty(p.shape[:-1] + (3 * n,), dtype=TORUS_DTYPE)
+    ext[..., :n] = p
+    np.negative(p, out=ext[..., n : 2 * n])
+    ext[..., 2 * n :] = p
+    rows = np.indices(p.shape[:-1], sparse=True)
+    return sliding_window_view(ext, n, axis=-1)[(*rows, start)]
 
 
 def _centered_int64(p: np.ndarray) -> np.ndarray:

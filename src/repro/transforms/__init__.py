@@ -1,4 +1,4 @@
-"""Transform substrate: from-scratch FFT, negacyclic folding, merge-split.
+"""Transform substrate: FFT dispatch, negacyclic folding, merge-split.
 
 Functional transforms (:mod:`~repro.transforms.fft`,
 :mod:`~repro.transforms.negacyclic`, :mod:`~repro.transforms.merge_split`)
@@ -19,7 +19,6 @@ from .backends import (
     use_backend,
 )
 from .fft import (
-    bit_reverse_permutation,
     fft,
     fft_complex_multiplies,
     fft_real_multiplies,
@@ -61,7 +60,6 @@ __all__ = [
     "reset_backend",
     "set_backend",
     "use_backend",
-    "bit_reverse_permutation",
     "fft",
     "ifft",
     "fft_stage_count",

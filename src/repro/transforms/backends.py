@@ -6,11 +6,14 @@ contraction.  This module puts both behind a uniform
 :class:`ComputeBackend` interface so a run can swap the engine without
 touching any call site:
 
-- ``numpy`` (default) - the repo's own zero-copy radix-2 butterfly
-  engine (:mod:`repro.transforms.fft`), always available;
-- ``scipy`` - ``scipy.fft``'s pocketfft, auto-detected when scipy is
-  importable;
+- ``numpy`` (default) - ``numpy.fft`` (pocketfft), always available;
 - ``pyfftw`` - FFTW via pyFFTW, auto-detected when importable.
+
+``scipy.fft`` wraps the same pocketfft library as ``numpy.fft``, so it
+has no entry of its own.  The repo's from-scratch radix-2 butterfly
+engine is kept as a test oracle (``tests/transforms/radix2_oracle.py``)
+and registered through :func:`register_backend` by the tests that
+compare engines.
 
 Backends only replace the *transform engine*; the negacyclic
 fold/twist, metric counting, decomposition, and rounding all stay in
@@ -40,7 +43,6 @@ import numpy as np
 __all__ = [
     "ComputeBackend",
     "NumpyBackend",
-    "ScipyBackend",
     "PyFFTWBackend",
     "register_backend",
     "registered_backends",
@@ -93,42 +95,17 @@ class ComputeBackend:
 
 
 class NumpyBackend(ComputeBackend):
-    """The repo's own zero-copy radix-2 butterfly engine (always available)."""
+    """``numpy.fft`` (pocketfft); numpy is the one hard dependency."""
 
     name = "numpy"
 
-    def __init__(self) -> None:
-        # Late import: backends.py is imported by fft.py at module load,
-        # so the core engine is only resolved once an instance is built
-        # (which happens after fft.py has finished importing).
-        from .fft import _fft_core, _ifft_core
-
-        self._fft_core = _fft_core
-        self._ifft_core = _ifft_core
-
+    # numpy >= 2 keeps complex64 as complex64, so the cast back is a
+    # no-op there; it only matters on numpy 1.x, which upcasts.
     def fft(self, x: np.ndarray) -> np.ndarray:
-        return self._fft_core(x)
+        return np.fft.fft(x, axis=-1).astype(x.dtype, copy=False)
 
     def ifft(self, x: np.ndarray) -> np.ndarray:
-        return self._ifft_core(x)
-
-
-class ScipyBackend(ComputeBackend):
-    """``scipy.fft`` (pocketfft).  Raises ImportError when scipy is absent."""
-
-    name = "scipy"
-
-    def __init__(self) -> None:
-        import scipy.fft as _sp_fft  # gated: scipy is an optional dependency
-
-        self._sp_fft = _sp_fft.fft
-        self._sp_ifft = _sp_fft.ifft
-
-    def fft(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self._sp_fft(x, axis=-1))
-
-    def ifft(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self._sp_ifft(x, axis=-1))
+        return np.fft.ifft(x, axis=-1).astype(x.dtype, copy=False)
 
 
 class PyFFTWBackend(ComputeBackend):
@@ -178,7 +155,7 @@ def register_backend(
     """Register a backend factory under ``name``.
 
     ``probe`` reports availability without constructing the backend
-    (e.g. "is scipy importable"); omitted means always available.
+    (e.g. "is pyfftw importable"); omitted means always available.
     """
     if probe is None:
         probe = _always_available
@@ -191,16 +168,11 @@ def _always_available() -> bool:
     return True
 
 
-def _scipy_available() -> bool:
-    return _probe_module("scipy.fft")
-
-
 def _pyfftw_available() -> bool:
     return _probe_module("pyfftw")
 
 
 register_backend("numpy", NumpyBackend)
-register_backend("scipy", ScipyBackend, probe=_scipy_available)
 register_backend("pyfftw", PyFFTWBackend, probe=_pyfftw_available)
 
 

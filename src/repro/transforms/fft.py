@@ -1,24 +1,19 @@
-"""From-scratch radix-2 decimation-in-time FFT.
+"""FFT entry points of the transform-domain hot path.
 
-Morphling's datapath is built around pipelined FFT hardware; this module is
-the *functional* counterpart: an iterative radix-2 FFT implemented directly
-(no ``numpy.fft``), vectorized with numpy so the TFHE substrate stays fast.
-The iterative butterfly structure mirrors the multi-delay-commutator
-pipeline modelled in :mod:`repro.transforms.pipeline_model` - ``log2(n)``
-stages of butterflies with per-stage twiddle factors.
-
-The butterfly engine is allocation-lean: one bit-reversal gather produces
-the working array, every stage then updates it in place through a single
-reused scratch buffer (the product ``odd * twiddle``), and the twiddle
-tables are cached per ``(n, dtype)`` so ``complex64`` transforms never
-upcast.  Total allocation per transform is the output plus ``n/2``
-scratch elements, independent of the stage count.
+:func:`fft` and :func:`ifft` are the only place the functional
+substrate calls a Fourier transform.  They normalise the input dtype
+(``float32``/``complex64`` stay single precision), count the work in
+``transforms_fft_total``, then dispatch to the active compute backend
+(:mod:`repro.transforms.backends`; ``numpy.fft`` by default).  The
+pipelined hardware FFT that Morphling's datapath is built around is
+modelled separately in :mod:`repro.transforms.pipeline_model`; the
+radix-2 operation counts below back the analytic op-count model.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -26,16 +21,12 @@ from ..observability import REGISTRY as _METRICS
 from .backends import active_backend as _active_backend
 
 __all__ = [
-    "bit_reverse_permutation",
     "fft",
     "ifft",
     "fft_stage_count",
     "fft_complex_multiplies",
     "fft_real_multiplies",
 ]
-
-_PERM_CACHE: Dict[int, np.ndarray] = {}
-_TWIDDLE_CACHE: Dict[Tuple[int, np.dtype], List[np.ndarray]] = {}
 
 _FFT_CALLS = _METRICS.counter(
     "transforms_fft_total", "FFT passes executed, by direction (batch-aware)"
@@ -54,76 +45,6 @@ def _count_transforms(shape: Tuple[int, ...], direction: str) -> None:
     _FFT_POINTS.observe(shape[-1], count=count)
 
 
-def bit_reverse_permutation(n: int) -> np.ndarray:
-    """Return the bit-reversal permutation for a power-of-two length ``n``."""
-    if n <= 0 or n & (n - 1):
-        raise ValueError(f"length must be a power of two, got {n}")
-    perm = _PERM_CACHE.get(n)
-    if perm is None:
-        bits = n.bit_length() - 1
-        idx = np.arange(n, dtype=np.int64)
-        perm = np.zeros(n, dtype=np.int64)
-        for _ in range(bits):
-            perm = (perm << 1) | (idx & 1)
-            idx >>= 1
-        _PERM_CACHE[n] = perm
-    return perm
-
-
-def _stage_twiddles(n: int, dtype: np.dtype) -> List[np.ndarray]:
-    """Twiddle factors per butterfly stage for an ``n``-point DIT FFT.
-
-    Cached per ``(n, dtype)`` so single-precision transforms multiply by
-    ``complex64`` twiddles (no silent upcast to ``complex128``).
-    """
-    key = (n, np.dtype(dtype))
-    tw = _TWIDDLE_CACHE.get(key)
-    if tw is None:
-        tw = []
-        size = 2
-        while size <= n:
-            half = size // 2
-            tw.append(np.exp(-2j * np.pi * np.arange(half) / size).astype(dtype))
-            size *= 2
-        _TWIDDLE_CACHE[key] = tw
-    return tw
-
-
-def _fft_core(x: np.ndarray) -> np.ndarray:
-    """Uninstrumented butterfly engine shared by :func:`fft` and :func:`ifft`.
-
-    The bit-reversal gather is the only full-size allocation; butterflies
-    run in place with one reused ``n/2``-element scratch per batch row
-    (``t = odd * tw``, then ``odd <- even - t`` and ``even <- even + t``).
-    """
-    n = x.shape[-1]
-    if n == 1:
-        return x.copy()
-    out = x[..., bit_reverse_permutation(n)]  # fancy indexing copies
-    batch_shape = x.shape[:-1]
-    scratch = np.empty(batch_shape + (n // 2,), dtype=out.dtype)
-    for stage, tw in enumerate(_stage_twiddles(n, out.dtype)):
-        size = 2 << stage
-        half = size // 2
-        blocks = out.reshape(batch_shape + (n // size, size))
-        even = blocks[..., :half]
-        odd = blocks[..., half:]
-        t = scratch.reshape(batch_shape + (n // size, half))
-        np.multiply(odd, tw, out=t)
-        np.subtract(even, t, out=odd)  # odd slot := even - odd*tw
-        even += t  # even slot := even + odd*tw
-    return out
-
-
-def _ifft_core(x: np.ndarray) -> np.ndarray:
-    """Uninstrumented inverse engine: conjugate trick over :func:`_fft_core`."""
-    n = x.shape[-1]
-    out = _fft_core(np.conj(x))
-    np.conj(out, out=out)
-    out /= n
-    return out
-
-
 def _as_complex(x: np.ndarray) -> np.ndarray:
     """View/cast input as complex, preserving single precision."""
     x = np.asarray(x)
@@ -135,15 +56,10 @@ def _as_complex(x: np.ndarray) -> np.ndarray:
 def fft(x: np.ndarray) -> np.ndarray:
     """Forward FFT of a complex vector (or batch of vectors on axis -1).
 
-    Iterative radix-2 decimation-in-time: bit-reverse the input then apply
-    ``log2(n)`` butterfly stages.  Accepts any shape; the transform runs
-    along the last axis, which must be a power of two.  ``float32`` /
-    ``complex64`` inputs stay in single precision end to end.
-
-    Dispatches to the active compute backend
-    (:mod:`repro.transforms.backends`); the default ``numpy`` backend is
-    the butterfly engine in this module.  Metric counting happens here,
-    before dispatch, so every backend is accounted identically.
+    Accepts any shape; the transform runs along the last axis.
+    ``float32`` / ``complex64`` inputs stay in single precision end to
+    end.  Metric counting happens here, before dispatch to the active
+    compute backend, so every backend is accounted identically.
     """
     x = _as_complex(x)
     if _METRICS.enabled:

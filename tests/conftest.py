@@ -22,6 +22,25 @@ def keyset(ctx):
     return ctx.keyset
 
 
+@pytest.fixture()
+def radix2_backend():
+    """Register the radix-2 test oracle as the ``radix2`` compute backend.
+
+    Yields the backend name; on teardown the entry is dropped again (and
+    the selection reset if it was active), so only the tests that ask for
+    the oracle ever see it in the registry.
+    """
+    from repro.transforms import backends
+    from tests.transforms.radix2_oracle import RADIX2, Radix2Backend
+
+    backends.register_backend(RADIX2, Radix2Backend)
+    yield RADIX2
+    if backends._ACTIVE is not None and backends._ACTIVE.name == RADIX2:
+        backends.reset_backend()
+    backends._REGISTRY.pop(RADIX2, None)
+    backends._INSTANCES.pop(RADIX2, None)
+
+
 def pytest_runtest_makereport(item, call):
     """On a test failure, dump the flight recorder's ring for triage.
 

@@ -135,12 +135,12 @@ class TestSharedSpectrum:
         with pytest.raises(ValueError, match="available backends"):
             BootstrapPool(ctx.keyset, workers=2, backend="not-a-backend")
 
-    def test_pool_runs_scipy_backend(self, ctx, workload):
-        pytest.importorskip("scipy")
+    def test_pool_runs_radix2_backend(self, ctx, workload, radix2_backend):
+        # Forked lanes inherit the driver's registry, test-only entries too.
         _, cts, tp = workload
         ref = programmable_bootstrap_batch(cts, tp, ctx.keyset)
-        with BootstrapPool(ctx.keyset, workers=2, backend="scipy") as pool:
-            assert pool.backend == "scipy"
+        with BootstrapPool(ctx.keyset, workers=2, backend=radix2_backend) as pool:
+            assert pool.backend == radix2_backend
             out = pool.bootstrap_batch(cts, tp)
         _assert_same(ref, out)
 

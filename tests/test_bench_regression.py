@@ -131,6 +131,13 @@ class TestFloorsAndTolerance:
         assert violations == []
         assert notes == []
 
+    def test_cpu_count_is_recorded_not_compared(self):
+        violations, notes = compare(
+            {"e@x": {"cpu_count": 2}}, {"e@x": {"cpu_count": 4}}
+        )
+        assert violations == []
+        assert notes == []
+
     def test_structural_metric_must_match(self):
         violations, _ = compare(
             {"e@x": {"backend": "numpy"}}, {"e@x": {"backend": "scipy"}}
@@ -206,3 +213,9 @@ class TestMain:
         assert entry["scaling_workers4"] == pytest.approx(2.5)
         for n in (1, 2, 4):
             assert entry[f"workers{n}_bootstraps_per_s"] > 0
+        # Set I: the 2-lane floor is against the pool's own 1-lane rate.
+        entry = baseline["entries"]["tfhe_pool@I"]
+        assert entry["backend"] == "numpy"
+        assert entry["scaling_workers2"] == pytest.approx(1.3)
+        assert entry["trials"] >= 10
+        assert entry["cpu_count"] >= 1

@@ -572,11 +572,17 @@ class TestPoolCommand:
         assert [e["workers"] for e in doc["entries"]] == [1]
         assert doc["entries"][0]["bootstraps_per_s"] > 0
 
-    def test_pool_scipy_backend_stamped(self, capsys):
-        pytest.importorskip("scipy")
+    def test_pool_radix2_backend_stamped(self, capsys, radix2_backend):
+        assert main(["pool", "--workers", "1", "--batch", "4", "--rounds", "1",
+                     "--backend", radix2_backend, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["backend"] == radix2_backend
+
+    def test_pool_scipy_backend_exit_2(self, capsys):
         assert main(["pool", "--workers", "1", "--batch", "4",
-                     "--rounds", "1", "--backend", "scipy", "--json"]) == 0
-        assert json.loads(capsys.readouterr().out)["backend"] == "scipy"
+                     "--backend", "scipy"]) == 2
+        err = capsys.readouterr().err
+        assert "'scipy'" in err
+        assert "available backends: numpy" in err
 
     def test_pool_unknown_backend_exit_2(self, capsys):
         assert main(["pool", "--workers", "1", "--batch", "4",

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.tfhe.polynomial import (
     from_spectrum,
     monomial_mul,
+    monomial_rotate_batch,
     poly_add,
     poly_mul,
     poly_mul_spectrum,
@@ -81,6 +82,48 @@ class TestMonomialMul:
         out = monomial_mul(a, 5)
         for i in range(3):
             np.testing.assert_array_equal(out[i], monomial_mul(a[i], 5))
+
+
+def _index_rotate_reference(p, t):
+    """The per-coefficient index rotation the window gather replaced."""
+    p = np.asarray(p, dtype=np.uint32)
+    n = p.shape[-1]
+    t = np.broadcast_to(np.asarray(t, dtype=np.int64), p.shape[:-1])
+    idx = (np.arange(n, dtype=np.int64) - t[..., None]) % (2 * n)
+    wrapped = idx >= n
+    idx -= wrapped * n
+    out = np.take_along_axis(p, idx, axis=-1)
+    np.negative(out, out=out, where=wrapped)
+    return out
+
+
+class TestMonomialRotateBatch:
+    @pytest.mark.parametrize("n", [4, 64, 1024])
+    def test_matches_index_rotation_for_every_exponent(self, rng, n):
+        # One row per exponent t in [0, 2N), each with k+1 = 2 components.
+        p = rng.integers(0, 1 << 32, size=(2 * n, 2, n), dtype=np.uint64).astype(np.uint32)
+        t = np.arange(2 * n)[:, None]
+        out = monomial_rotate_batch(p, t)
+        assert out.dtype == np.uint32
+        np.testing.assert_array_equal(out, _index_rotate_reference(p, t))
+
+    def test_exponents_taken_modulo_2n(self, rng):
+        p = rng.integers(0, 1 << 32, size=(5, N), dtype=np.uint64).astype(np.uint32)
+        t = np.array([-1, -2 * N - 3, 2 * N, 5 * N + 1, 0])
+        np.testing.assert_array_equal(
+            monomial_rotate_batch(p, t), _index_rotate_reference(p, t)
+        )
+
+    def test_agrees_with_monomial_mul(self, rng):
+        a = random_torus_poly(rng)
+        for t in (0, 1, N - 1, N, N + 5, 2 * N - 1):
+            np.testing.assert_array_equal(monomial_rotate_batch(a, t), monomial_mul(a, t))
+
+    def test_does_not_mutate_input(self, rng):
+        p = rng.integers(0, 1 << 32, size=(3, N), dtype=np.uint64).astype(np.uint32)
+        saved = p.copy()
+        monomial_rotate_batch(p, np.array([1, N, 2 * N - 1]))
+        np.testing.assert_array_equal(p, saved)
 
 
 class TestPolyMul:

@@ -1,4 +1,9 @@
-"""Unit and property tests for the from-scratch radix-2 FFT."""
+"""Unit and property tests for the FFT entry points and the radix-2 oracle.
+
+``fft``/``ifft`` dispatch to the default backend (``numpy.fft``); the
+bit-reversal and oracle tests cover the from-scratch radix-2 engine in
+:mod:`tests.transforms.radix2_oracle` that the parity tests compare it with.
+"""
 
 import numpy as np
 import pytest
@@ -6,12 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.transforms import (
-    bit_reverse_permutation,
     fft,
     fft_complex_multiplies,
     fft_real_multiplies,
     fft_stage_count,
     ifft,
+)
+from tests.transforms.radix2_oracle import (
+    bit_reverse_permutation,
+    radix2_fft,
+    radix2_ifft,
 )
 
 SIZES = [2, 4, 8, 16, 64, 256, 1024]
@@ -38,6 +47,30 @@ class TestBitReverse:
 
     def test_known_order_n8(self):
         assert bit_reverse_permutation(8).tolist() == [0, 4, 2, 6, 1, 5, 3, 7]
+
+
+class TestRadix2Oracle:
+    @pytest.mark.parametrize("n", SIZES)
+    def test_forward_matches_numpy(self, n, rng):
+        x = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+        np.testing.assert_allclose(radix2_fft(x), np.fft.fft(x), rtol=1e-9, atol=1e-9)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_inverse_matches_numpy(self, n, rng):
+        x = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+        np.testing.assert_allclose(radix2_ifft(x), np.fft.ifft(x), rtol=1e-9, atol=1e-9)
+
+    def test_complex64_stays_single_precision(self, rng):
+        x = (rng.normal(size=64) + 1j * rng.normal(size=64)).astype(np.complex64)
+        assert radix2_fft(x).dtype == np.complex64
+        assert radix2_ifft(x).dtype == np.complex64
+
+    def test_does_not_mutate_input(self, rng):
+        x = rng.normal(size=(2, 32)) + 0j
+        saved = x.copy()
+        radix2_fft(x)
+        radix2_ifft(x)
+        np.testing.assert_array_equal(x, saved)
 
 
 class TestFFTCorrectness:
