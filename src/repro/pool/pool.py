@@ -38,10 +38,12 @@ import os
 import queue as queue_mod
 import signal
 from contextlib import ExitStack
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
+from ..tfhe.batch import LweBatch
+from ..tfhe.bootstrap import check_batch_inputs
 from ..tfhe.keys import KeySet
 from ..tfhe.lwe import LweCiphertext
 from ..transforms import backends as _backends
@@ -104,9 +106,9 @@ def _pool_worker_main(
 
     Module-level so it is importable in children; runs under
     ``worker_telemetry`` when the pool has a telemetry directory.  Tasks
-    are ``(job_id, shard_idx, a, b, tps)`` tuples; ``None`` stops the
-    lane.  ``kill_after_jobs`` is the crash drill: after that many
-    completed jobs the lane SIGKILLs itself (no cleanup), exercising
+    are ``(job_id, shard_idx, shard, tps)`` tuples, ``shard`` an
+    :class:`LweBatch`; ``None`` stops the lane.  ``kill_after_jobs`` is
+    the crash drill: after that many completed jobs the lane SIGKILLs itself (no cleanup), exercising
     the driver's crash detection and segment unlink.
     """
     from contextlib import nullcontext
@@ -132,16 +134,11 @@ def _pool_worker_main(
         while True:
             task = task_q.get()
             if task is None:
-                result_q.put(("bye", worker_id, None, None, None, None, _worker_stats()))
+                result_q.put(("bye", worker_id, None, None, None, _worker_stats()))
                 break
-            job_id, shard_idx, a, b, tps = task
-            cts = [LweCiphertext(a[r], b[r]) for r in range(a.shape[0])]
-            outs = programmable_bootstrap_batch(cts, tps, keyset, precision=precision)
-            out_a = np.stack([ct.a for ct in outs])
-            out_b = np.asarray([ct.b for ct in outs])
-            result_q.put(
-                ("result", worker_id, job_id, shard_idx, out_a, out_b, _worker_stats())
-            )
+            job_id, shard_idx, shard, tps = task
+            out = programmable_bootstrap_batch(shard, tps, keyset, precision=precision)
+            result_q.put(("result", worker_id, job_id, shard_idx, out, _worker_stats()))
             done += 1
             if kill_after_jobs is not None and done >= kill_after_jobs:
                 # Crash drill: flush the sent result (the feeder thread
@@ -326,47 +323,49 @@ class BootstrapPool:
 
     def bootstrap_batch(
         self,
-        cts: Sequence[LweCiphertext],
+        cts: Union[LweBatch, Sequence[LweCiphertext]],
         test_polys: np.ndarray,
-    ) -> List[LweCiphertext]:
+    ) -> Union[LweBatch, List[LweCiphertext]]:
         """Shard ``cts`` across the lanes; bit-identical to one big batch.
 
+        An :class:`LweBatch` comes back as one, a sequence as a list.
         ``test_polys`` is one shared ``(N,)`` LUT or a per-sample
-        ``(B, N)`` stack (sliced with its shard).  Results come back in
-        input order.  Raises :class:`PoolWorkerLost` if a lane dies
-        mid-job (the pool is closed and the segment unlinked first).
+        ``(B, N)`` stack (sliced with its shard).  Input is checked here,
+        before dispatch, so a malformed batch leaves the lanes serving.
+        Results come back in input order.  Raises :class:`PoolWorkerLost`
+        if a lane dies mid-job (the pool is closed and the segment
+        unlinked first).
         """
         if not self._procs:
             self.start()
-        cts = list(cts)
-        batch = len(cts)
-        if batch == 0:
-            return []
-        a = np.stack([ct.a for ct in cts])
-        b = np.asarray([ct.b for ct in cts])
-        tps = np.asarray(test_polys)
+        as_list = not isinstance(cts, LweBatch)
+        if as_list:
+            cts = list(cts)
+            if not cts:
+                return []
+            cts = LweBatch.from_ciphertexts(cts)
+        tps = check_batch_inputs(cts, test_polys, self.keyset.params)
         per_sample_lut = tps.ndim == 2
         job_id = self._job_counter
         self._job_counter += 1
 
-        shards = np.array_split(np.arange(batch), min(self.workers, batch))
         pending: Dict[int, np.ndarray] = {}
-        for shard_idx, rows in enumerate(shards):
+        for shard_idx, rows in enumerate(np.array_split(np.arange(cts.size), self.workers)):
             if rows.size == 0:
                 continue
             shard_tps = tps[rows] if per_sample_lut else tps
             self._task_qs[shard_idx].put(
-                (job_id, shard_idx, a[rows], b[rows], shard_tps)
+                (job_id, shard_idx, LweBatch(cts.a[rows], cts.b[rows]), shard_tps)
             )
             pending[shard_idx] = rows
 
-        out_a = np.empty_like(a)
-        out_b = np.empty_like(b)
+        out_a = np.empty_like(cts.a)
+        out_b = np.empty_like(cts.b)
         waited = 0.0
         dead_grace = 0.0
         while pending:
             try:
-                kind, worker_id, rj, shard_idx, ra, rb, stats = self._result_q.get(
+                kind, worker_id, rj, shard_idx, shard_out, stats = self._result_q.get(
                     timeout=_POLL_S
                 )
             except queue_mod.Empty:
@@ -400,9 +399,10 @@ class BootstrapPool:
             if kind != "result" or rj != job_id:
                 continue  # late messages from a previous job / shutdown
             rows = pending.pop(shard_idx)
-            out_a[rows] = ra
-            out_b[rows] = rb
-        return [LweCiphertext(out_a[r], out_b[r]) for r in range(batch)]
+            out_a[rows] = shard_out.a
+            out_b[rows] = shard_out.b
+        out = LweBatch(out_a, out_b)
+        return list(out) if as_list else out
 
     def worker_stats(self) -> Dict[str, Dict[str, float]]:
         """Latest per-worker counters (fft counts, bootstraps, pid)."""

@@ -4,20 +4,18 @@ Morphling never bootstraps one ciphertext - the scheduler groups 64 LWE
 ciphertexts and streams them through 16 bootstrap cores (Section V-E).
 ``LweBatch`` gives the substrate the same shape: a ``(B, n)`` mask matrix
 plus a ``(B,)`` body vector with fully vectorized encryption, decryption
-and linear homomorphisms, and a batched bootstrap driver that mirrors the
-hardware's grouping (and reports how the scheduler would split it).
+and linear homomorphisms.  It is the currency of the batched bootstrap
+(:func:`repro.tfhe.bootstrap.programmable_bootstrap_batch`) and of the
+process pool.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from typing import Optional
-
-from .bootstrap import BootstrapTrace, programmable_bootstrap, programmable_bootstrap_batch
-from .keys import KeySet
 from .lwe import LweCiphertext, LweSecretKey, gaussian_torus_noise
 from .torus import (
     TORUS_DTYPE,
@@ -26,9 +24,10 @@ from .torus import (
     to_torus,
     torus_dot,
     torus_scalar_mul,
+    torus_words,
 )
 
-__all__ = ["LweBatch", "encrypt_batch", "decrypt_batch", "bootstrap_batch"]
+__all__ = ["LweBatch", "encrypt_batch", "decrypt_batch"]
 
 
 @dataclass
@@ -39,8 +38,8 @@ class LweBatch:
     b: np.ndarray  # (B,) uint32
 
     def __post_init__(self) -> None:
-        self.a = np.asarray(self.a, dtype=TORUS_DTYPE)
-        self.b = np.asarray(self.b, dtype=TORUS_DTYPE)
+        self.a = torus_words(self.a, "a")
+        self.b = torus_words(self.b, "b")
         if self.a.ndim != 2 or self.b.shape != (self.a.shape[0],):
             raise ValueError("batch needs a (B, n) mask and (B,) body")
 
@@ -59,6 +58,9 @@ class LweBatch:
     def __getitem__(self, index: int) -> LweCiphertext:
         return LweCiphertext(self.a[index].copy(), self.b[index])
 
+    def __iter__(self) -> Iterator[LweCiphertext]:
+        return (self[i] for i in range(self.size))
+
     @classmethod
     def from_ciphertexts(cls, cts: list) -> "LweBatch":
         if not cts:
@@ -69,7 +71,7 @@ class LweBatch:
         return cls(np.stack([ct.a for ct in cts]), np.array([ct.b for ct in cts]))
 
     def to_ciphertexts(self) -> list:
-        return [self[i] for i in range(self.size)]
+        return list(self)
 
     # -- linear homomorphisms --------------------------------------------
     def __add__(self, other: "LweBatch") -> "LweBatch":
@@ -130,37 +132,3 @@ def decrypt_batch(batch: LweBatch, p: int, key: LweSecretKey) -> np.ndarray:
     mask_dot = torus_dot(batch.a, key.bits[None, :])
     phases = (batch.b - mask_dot).astype(TORUS_DTYPE)
     return decode_message(phases, p)
-
-
-def bootstrap_batch(
-    batch: LweBatch,
-    test_poly: np.ndarray,
-    keyset: KeySet,
-    group_size: int = 64,
-    engine: str = "transform",
-    trace: Optional[BootstrapTrace] = None,
-) -> LweBatch:
-    """Bootstrap every ciphertext, processed in scheduler-shaped groups.
-
-    Each group runs through the vectorized
-    :func:`~repro.tfhe.bootstrap.programmable_bootstrap_batch` kernel
-    (one BSK pass shared by the whole group, mirroring how the HW
-    scheduler streams 64 LWE ciphertexts through the VPE rows).  Results
-    are bit-identical for every ``group_size``.  The reference engines
-    (``"fft"``/``"exact"``) keep the per-sample path.
-    """
-    if group_size < 1:
-        raise ValueError("group_size must be >= 1")
-    outputs = []
-    for start in range(0, batch.size, group_size):
-        group = [batch[i] for i in range(start, min(start + group_size, batch.size))]
-        if engine == "transform":
-            outputs.extend(
-                programmable_bootstrap_batch(group, test_poly, keyset, trace=trace)
-            )
-        else:
-            outputs.extend(
-                programmable_bootstrap(ct, test_poly, keyset, engine=engine, trace=trace)
-                for ct in group
-            )
-    return LweBatch.from_ciphertexts(outputs)

@@ -10,7 +10,7 @@ The four stages map one-to-one onto Morphling's hardware:
   regrouping on the VPU;
 - :func:`key_switch` - the memory-bound KSK contraction on the VPU.
 
-:func:`programmable_bootstrap` composes them and optionally records
+:func:`programmable_bootstrap_batch` composes them and optionally records
 per-stage operation counts through a :class:`BootstrapTrace` so the
 analysis layer (Fig. 1) can account real executions rather than formulas.
 
@@ -20,14 +20,15 @@ analogue of the paper's 2D VPE array, where each row processes a
 different bootstrap against the shared, pre-transformed BSK entry.  The
 scalar entry points are batch-of-one views of the same kernel, so scalar
 and batched results are bit-identical in the default double-precision
-mode.
+mode.  Only the ``"fft"``/``"exact"`` reference engines keep a per-CMux path.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union, overload
 
 import numpy as np
 
@@ -38,7 +39,9 @@ from ..observability import (
     TRACER as _TRACER,
     report_anomaly as _report_anomaly,
 )
+from ..params import TFHEParams
 from ..transforms.backends import active_backend_name as _active_backend_name
+from .batch import LweBatch
 from .decomposition import decompose
 from .ggsw import cmux, external_product_spectrum_batch
 from .glwe import GlweCiphertext, glwe_rotate, glwe_trivial, sample_extract, sample_extract_batch
@@ -50,7 +53,7 @@ from .noise import (
     modulus_switch_noise_variance,
 )
 from .polynomial import monomial_rotate_batch
-from .torus import TORUS_DTYPE, modswitch, to_signed, to_torus, u32
+from .torus import TORUS_DTYPE, modswitch, to_signed, to_torus, torus_words, u32
 
 __all__ = [
     "BootstrapTrace",
@@ -61,6 +64,7 @@ __all__ = [
     "key_switch_batch",
     "programmable_bootstrap",
     "programmable_bootstrap_batch",
+    "check_batch_inputs",
 ]
 
 _BOOTSTRAPS = _METRICS.counter(
@@ -333,13 +337,16 @@ def programmable_bootstrap(
     """Full programmable bootstrap of one LWE ciphertext (Algorithm 1).
 
     ``engine`` picks the external-product datapath: ``"transform"``
-    (Morphling's reuse datapath, shared with the batched pipeline),
-    ``"fft"`` (per-product transforms) or ``"exact"`` (integer reference).
+    (Morphling's reuse datapath, a batch of one through
+    :func:`programmable_bootstrap_batch`), or the per-CMux reference
+    engines ``"fft"`` (per-product transforms) and ``"exact"`` (integer).
     """
     params = keyset.params
-    t0 = time.perf_counter() if (_METRICS.enabled or _BUS.enabled) else None
     with _TRACER.span("programmable_bootstrap", category="tfhe",
                       engine=engine, n=params.n, N=params.N):
+        if engine == "transform":
+            return programmable_bootstrap_batch([ct], test_poly, keyset, trace=trace)[0]
+        t0 = time.perf_counter() if (_METRICS.enabled or _BUS.enabled) else None
         a_tilde, b_tilde = modulus_switch(ct, params.N)
         if trace is not None:
             trace.ms_operations += params.n + 1
@@ -361,46 +368,86 @@ def programmable_bootstrap(
     return result
 
 
+def check_batch_inputs(
+    batch: LweBatch, test_polys: np.ndarray, params: TFHEParams
+) -> np.ndarray:
+    """Check a batch and its LUTs against ``params``; returns the LUTs as uint32.
+
+    The mask must be ``(B, n)`` and ``test_polys`` ``(N,)`` or ``(B, N)``;
+    errors name the shape given and the one expected.
+    """
+    if batch.n != params.n:
+        raise ValueError(
+            f"mask shape {batch.a.shape} does not match the keyset: "
+            f"expected ({batch.size}, {params.n})"
+        )
+    tps = torus_words(test_polys, "test_polys")
+    if tps.shape not in ((params.N,), (batch.size, params.N)):
+        raise ValueError(
+            f"test_polys shape {tps.shape} does not fit a batch of "
+            f"{batch.size}: expected ({params.N},) or ({batch.size}, {params.N})"
+        )
+    return tps
+
+
+@overload
 def programmable_bootstrap_batch(
-    cts: Sequence[LweCiphertext],
+    cts: LweBatch, test_polys: np.ndarray, keyset: KeySet,
+    trace: Optional[BootstrapTrace] = ..., precision: str = ...,
+    noise_labels: Optional[Sequence[str]] = ...,
+) -> LweBatch: ...
+
+
+@overload
+def programmable_bootstrap_batch(
+    cts: Sequence[LweCiphertext], test_polys: np.ndarray, keyset: KeySet,
+    trace: Optional[BootstrapTrace] = ..., precision: str = ...,
+    noise_labels: Optional[Sequence[str]] = ...,
+) -> List[LweCiphertext]: ...
+
+
+def programmable_bootstrap_batch(
+    cts: Union[LweBatch, Sequence[LweCiphertext]],
     test_polys: np.ndarray,
     keyset: KeySet,
     trace: Optional[BootstrapTrace] = None,
     precision: str = "double",
     noise_labels: Optional[Sequence[str]] = None,
-) -> List[LweCiphertext]:
+) -> Union[LweBatch, List[LweCiphertext]]:
     """Bootstrap ``B`` independent LWE ciphertexts through one batched pass.
 
-    ``test_polys`` is one shared ``(N,)`` LUT or a per-sample ``(B, N)``
-    stack (the multi-LUT case: independent bootstraps, each with its own
-    test polynomial, sharing every BSK row).  All four stages run
-    vectorized over the batch; in the default ``"double"`` precision the
-    outputs are bit-identical to ``B`` scalar :func:`programmable_bootstrap`
-    calls.  The noise tracker shadows every sample individually
-    (``noise_labels`` optionally tags sample ``r``'s records, so batched
-    gates report the same per-gate provenance as scalar ones).
+    The one place the transform-engine MS -> BR -> SE -> KS sequence is
+    written.  An :class:`LweBatch` comes back as an :class:`LweBatch`; a
+    sequence of :class:`LweCiphertext` is converted once and comes back as
+    a list.  ``test_polys`` is one shared ``(N,)`` LUT or a per-sample
+    ``(B, N)`` stack (the multi-LUT case, sharing every BSK row).  In the
+    default ``"double"`` precision the outputs are bit-identical to ``B``
+    scalar :func:`programmable_bootstrap` calls on any engine.  The noise
+    tracker follows ciphertext objects, so it shadows the sequence form
+    only (``noise_labels`` optionally tags sample ``r``'s records).
     """
-    cts = list(cts)
-    batch = len(cts)
-    if batch == 0:
-        return []
+    inputs = None
+    if not isinstance(cts, LweBatch):
+        inputs = list(cts)
+        if not inputs:
+            return []
+        cts = LweBatch.from_ciphertexts(inputs)
+    batch = cts.size
     params = keyset.params
-    a = np.stack([ct.a for ct in cts])
-    b = np.asarray([ct.b for ct in cts], dtype=TORUS_DTYPE)
-    tps = np.asarray(test_polys, dtype=TORUS_DTYPE)
     t0 = time.perf_counter() if (_METRICS.enabled or _BUS.enabled) else None
     try:
+        tps = check_batch_inputs(cts, test_polys, params)
         with _TRACER.span("programmable_bootstrap_batch", category="tfhe",
                           batch=batch, n=params.n, N=params.N, precision=precision):
-            a_tilde = modswitch(a, 2 * params.N)
-            b_tilde = modswitch(b, 2 * params.N)
+            a_tilde = modswitch(cts.a, 2 * params.N)
+            b_tilde = modswitch(cts.b, 2 * params.N)
             if trace is not None:
                 trace.ms_operations += batch * (params.n + 1)
             acc = blind_rotate_batch(
                 a_tilde, b_tilde, tps, keyset, trace=trace, precision=precision
             )
             ext_a, ext_b = sample_extract_batch(acc)
-            out_a, out_b = key_switch_batch(ext_a, ext_b, keyset.ksk, trace=trace)
+            out = LweBatch(*key_switch_batch(ext_a, ext_b, keyset.ksk, trace=trace))
     except Exception as exc:
         _report_anomaly("exception", where="programmable_bootstrap_batch",
                         error=repr(exc), batch=batch)
@@ -420,18 +467,15 @@ def programmable_bootstrap_batch(
         _BUS.publish("batch", "tfhe/bootstrap_batch", value=float(batch),
                      n=params.n, N=params.N, precision=precision,
                      backend=_active_backend_name())
-    results = [LweCiphertext(out_a[r], out_b[r]) for r in range(batch)]
+    if inputs is None:
+        return out
+    results = list(out)
     if _NOISE.enabled:
         tp_rows = np.broadcast_to(tps, (batch, params.N))
         for r in range(batch):
-            if noise_labels is not None:
-                with _NOISE.labelled(noise_labels[r]):
-                    _track_bootstrap(
-                        results[r], cts[r], tp_rows[r], keyset,
-                        "programmable_bootstrap",
-                    )
-            else:
+            label = noise_labels[r] if noise_labels is not None else None
+            with _NOISE.labelled(label) if label is not None else nullcontext():
                 _track_bootstrap(
-                    results[r], cts[r], tp_rows[r], keyset, "programmable_bootstrap"
+                    results[r], inputs[r], tp_rows[r], keyset, "programmable_bootstrap"
                 )
     return results

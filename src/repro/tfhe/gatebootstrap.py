@@ -15,18 +15,12 @@ original TFHE library, NuFHE) speak exactly this dialect:
 
 from __future__ import annotations
 
+from typing import List, Sequence
+
 import numpy as np
 
-from ..observability import NOISE as _NOISE, REGISTRY as _METRICS, TRACER as _TRACER
-from .bootstrap import (
-    _track_bootstrap,
-    blind_rotate,
-    blind_rotate_batch,
-    key_switch,
-    key_switch_batch,
-    modulus_switch,
-)
-from .glwe import sample_extract, sample_extract_batch
+from ..observability import NOISE as _NOISE, REGISTRY as _METRICS
+from .bootstrap import programmable_bootstrap_batch
 from .keys import KeySet
 from .lwe import (
     LweCiphertext,
@@ -36,7 +30,7 @@ from .lwe import (
     lwe_encrypt,
     lwe_neg,
 )
-from .torus import TORUS_DTYPE, modswitch, to_torus, u32
+from .torus import TORUS_DTYPE, to_torus, u32
 
 __all__ = [
     "encrypt_bool",
@@ -86,62 +80,29 @@ def decrypt_bool(ct: LweCiphertext, keyset: KeySet) -> int:
     return 1 if phase < (1 << 31) else 0  # positive half-torus -> 1
 
 
-def _sign_test_polynomial(params) -> np.ndarray:
-    """Constant test polynomial ``1/8``: blind rotation leaves +-1/8."""
-    return np.full(params.N, _EIGHTH, dtype=TORUS_DTYPE)
-
-
 def bootstrap_to_sign(ct: LweCiphertext, keyset: KeySet) -> LweCiphertext:
     """Refresh a ``+-1/8`` ciphertext to exactly ``+-1/8`` + fresh noise.
 
     Negacyclic sign extraction: with a constant ``1/8`` test polynomial,
     phases in the positive half-torus give ``+1/8`` and the negative half
-    ``-1/8``.
+    ``-1/8``.  Gate outputs land at ``+-1/8`` or ``+-3/8``, a ``1/8``
+    margin from the half-torus decision boundaries at 0 and 1/2.
     """
-    params = keyset.params
-    with _TRACER.span("bootstrap_to_sign", category="tfhe", n=params.n):
-        a_tilde, b_tilde = modulus_switch(ct, params.N)
-        # Gate outputs land at +-1/8 or +-3/8, a 1/8 margin from the
-        # half-torus decision boundaries at 0 and 1/2 - noise budget enough.
-        test_poly = _sign_test_polynomial(params)
-        acc = blind_rotate(a_tilde, b_tilde, test_poly, keyset)
-        extracted = sample_extract(acc, 0)
-        result = key_switch(extracted, keyset.ksk)
-    _GATE_BOOTSTRAPS.inc()
-    if _NOISE.enabled:
-        _track_bootstrap(result, ct, test_poly, keyset, "bootstrap_to_sign")
-    return result
+    return bootstrap_to_sign_batch([ct], keyset)[0]
 
 
-def bootstrap_to_sign_batch(cts: list, keyset: KeySet) -> list:
+def bootstrap_to_sign_batch(cts: Sequence[LweCiphertext], keyset: KeySet) -> List[LweCiphertext]:
     """Sign-refresh several independent ``+-1/8`` ciphertexts in one pass.
 
-    One batched MS -> BR -> SE -> KS with the shared constant test
-    polynomial: every BSK row is applied to all samples together (the 2D
-    VPE-array schedule), bit-identical to per-sample
-    :func:`bootstrap_to_sign` calls.
+    The constant ``1/8`` test polynomial (blind rotation leaves ``+-1/8``)
+    goes through :func:`~repro.tfhe.bootstrap.programmable_bootstrap_batch`:
+    every BSK row is applied to all samples together (the 2D VPE-array
+    schedule), bit-identical to per-sample :func:`bootstrap_to_sign` calls.
     """
-    cts = list(cts)
-    if not cts:
-        return []
-    params = keyset.params
-    with _TRACER.span("bootstrap_to_sign_batch", category="tfhe",
-                      batch=len(cts), n=params.n):
-        a = np.stack([ct.a for ct in cts])
-        b = np.asarray([ct.b for ct in cts], dtype=TORUS_DTYPE)
-        test_poly = _sign_test_polynomial(params)
-        acc = blind_rotate_batch(
-            modswitch(a, 2 * params.N), modswitch(b, 2 * params.N),
-            test_poly, keyset,
-        )
-        ext_a, ext_b = sample_extract_batch(acc)
-        out_a, out_b = key_switch_batch(ext_a, ext_b, keyset.ksk)
-    _GATE_BOOTSTRAPS.inc(len(cts))
-    results = [LweCiphertext(out_a[r], out_b[r]) for r in range(len(cts))]
-    if _NOISE.enabled:
-        for res, ct in zip(results, cts):
-            _track_bootstrap(res, ct, test_poly, keyset, "bootstrap_to_sign")
-    return results
+    test_poly = np.full(keyset.params.N, _EIGHTH, dtype=TORUS_DTYPE)
+    outs = programmable_bootstrap_batch(cts, test_poly, keyset)
+    _GATE_BOOTSTRAPS.inc(len(outs))
+    return outs
 
 
 def _gate_linear(offset_eighths: int, terms: list) -> LweCiphertext:

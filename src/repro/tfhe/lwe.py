@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..observability import NOISE as _NOISE
-from .torus import TORUS_DTYPE, to_torus, torus_scalar_mul, u32
+from .torus import TORUS_DTYPE, to_torus, torus_scalar_mul, torus_words, u32
 
 __all__ = [
     "LweSecretKey",
@@ -57,8 +57,8 @@ class LweCiphertext:
     b: np.uint32
 
     def __post_init__(self) -> None:
-        self.a = np.asarray(self.a, dtype=TORUS_DTYPE)
-        self.b = TORUS_DTYPE(self.b)
+        self.a = torus_words(self.a, "a")
+        self.b = TORUS_DTYPE(torus_words(self.b, "b"))
 
     @property
     def n(self) -> int:

@@ -18,6 +18,7 @@ import numpy as np
 __all__ = [
     "TORUS_DTYPE",
     "u32",
+    "torus_words",
     "Q_BITS",
     "Q",
     "to_torus",
@@ -44,6 +45,29 @@ Q = 1 << Q_BITS
 def u32(value) -> np.uint32:
     """Reduce a python/numpy scalar into ``T_q`` without overflow warnings."""
     return TORUS_DTYPE(int(value) & 0xFFFFFFFF)
+
+
+def torus_words(values, field: str) -> np.ndarray:
+    """``values`` as checked uint32 ciphertext words (uint32 skips the scan).
+
+    Rejects non-integer dtypes and integers outside ``[0, 2^32)`` instead
+    of casting; the error names ``field``, the dtype and the min/max.
+    """
+    arr = np.asarray(values)
+    if arr.dtype == TORUS_DTYPE:
+        return arr
+    if arr.dtype.kind not in "iu":
+        raise ValueError(
+            f"{field}: ciphertext words need an integer dtype, got {arr.dtype}"
+        )
+    if arr.size:
+        lo, hi = int(arr.min()), int(arr.max())
+        if lo < 0 or hi >= Q:
+            raise ValueError(
+                f"{field}: values must lie in [0, 2^32); got {arr.dtype} "
+                f"with min {lo}, max {hi}"
+            )
+    return arr.astype(TORUS_DTYPE)
 
 
 def to_torus(values, q_bits: int = Q_BITS) -> np.ndarray:

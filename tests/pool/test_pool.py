@@ -13,6 +13,7 @@ import pytest
 from repro import observability as obs
 from repro.observability.distrib import aggregate_shards, discover_shards
 from repro.pool import BootstrapPool, PoolWorkerLost, leaked_segments
+from repro.tfhe.batch import LweBatch
 from repro.tfhe.bootstrap import programmable_bootstrap_batch
 
 BATCH = 8
@@ -35,21 +36,36 @@ def _assert_same(expected, actual):
         assert e.b == a.b
 
 
+def _pool_both_ways(pool, cts, tps):
+    """One pool call on the list, one on an ``LweBatch`` of it.
+
+    Each must come back as the kind it was given; the caller runs its
+    assertions on both.
+    """
+    as_list = pool.bootstrap_batch(cts, tps)
+    as_batch = pool.bootstrap_batch(LweBatch.from_ciphertexts(cts), tps)
+    assert isinstance(as_list, list)
+    assert isinstance(as_batch, LweBatch)
+    return as_list, as_batch
+
+
 class TestBitIdentity:
     def test_two_workers_match_single_process(self, ctx, workload):
         _, cts, tp = workload
         ref = programmable_bootstrap_batch(cts, tp, ctx.keyset)
         with BootstrapPool(ctx.keyset, workers=2) as pool:
-            out = pool.bootstrap_batch(cts, tp)
-        _assert_same(ref, out)
+            outs = _pool_both_ways(pool, cts, tp)
+        for out in outs:
+            _assert_same(ref, out)
         assert leaked_segments() == []
 
     def test_three_workers_uneven_shards(self, ctx, workload):
         _, cts, tp = workload
         ref = programmable_bootstrap_batch(cts, tp, ctx.keyset)
         with BootstrapPool(ctx.keyset, workers=3) as pool:
-            out = pool.bootstrap_batch(cts, tp)
-        _assert_same(ref, out)
+            outs = _pool_both_ways(pool, cts, tp)
+        for out in outs:
+            _assert_same(ref, out)
 
     def test_per_sample_luts(self, ctx, workload):
         _, cts, _ = workload
@@ -59,25 +75,60 @@ class TestBitIdentity:
         ])
         ref = programmable_bootstrap_batch(cts, tps, ctx.keyset)
         with BootstrapPool(ctx.keyset, workers=2) as pool:
-            out = pool.bootstrap_batch(cts, tps)
-        _assert_same(ref, out)
+            outs = _pool_both_ways(pool, cts, tps)
+        for out in outs:
+            _assert_same(ref, out)
 
     def test_more_workers_than_samples(self, ctx, workload):
         _, cts, tp = workload
         ref = programmable_bootstrap_batch(cts[:2], tp, ctx.keyset)
         with BootstrapPool(ctx.keyset, workers=4) as pool:
-            out = pool.bootstrap_batch(cts[:2], tp)
-        _assert_same(ref, out)
+            outs = _pool_both_ways(pool, cts[:2], tp)
+        for out in outs:
+            _assert_same(ref, out)
 
     def test_empty_batch(self, ctx, workload):
         _, _, tp = workload
+        empty = LweBatch(np.zeros((0, ctx.params.n), np.uint32), np.zeros(0, np.uint32))
         with BootstrapPool(ctx.keyset, workers=2) as pool:
             assert pool.bootstrap_batch([], tp) == []
+            assert pool.bootstrap_batch(empty, tp).a.shape == (0, ctx.params.n)
 
     def test_decrypts_correctly(self, ctx, workload):
         msgs, cts, tp = workload
         with BootstrapPool(ctx.keyset, workers=2) as pool:
             out = pool.bootstrap_batch(cts, tp)
+        assert [ctx.decrypt(c, P) for c in out] == msgs
+
+
+class TestInputChecks:
+    def test_bad_input_raises_and_pool_keeps_serving(self, ctx, workload):
+        """Malformed input fails in the driver, naming the problem; no
+        lane dies, so the next good batch is served by the same pool."""
+        msgs, cts, tp = workload
+        batch = LweBatch.from_ciphertexts(cts)
+        n, N = ctx.params.n, ctx.params.N
+        bad_words = {
+            "float": batch.a.astype(np.float64),
+            "int64 >= 2^32": batch.a.astype(np.int64) + 2**32,
+            "negative int64": batch.a.astype(np.int64) - 2**32,
+        }
+        bad_calls = [
+            (LweBatch(np.resize(batch.a, (len(cts), n + 5)), batch.b), tp,
+             f"({len(cts)}, {n + 5})"),
+            (LweBatch(batch.a[:, :n - 5], batch.b), tp, f"({len(cts)}, {n - 5})"),
+            (batch, tp[:-1], f"({N - 1},)"),
+            (batch, np.stack([tp] * 3), f"(3, {N})"),
+        ]
+        with BootstrapPool(ctx.keyset, workers=2) as pool:
+            for words in bad_words.values():
+                with pytest.raises(ValueError, match="^a: "):
+                    pool.bootstrap_batch(LweBatch(words, batch.b), tp)
+            for bad, polys, shape in bad_calls:
+                with pytest.raises(ValueError) as info:
+                    pool.bootstrap_batch(bad, polys)
+                assert shape in str(info.value)
+            out = pool.bootstrap_batch(batch, tp)
         assert [ctx.decrypt(c, P) for c in out] == msgs
 
 

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.tfhe.batch import LweBatch, bootstrap_batch, decrypt_batch, encrypt_batch
+from repro.tfhe.batch import LweBatch, decrypt_batch, encrypt_batch
+from repro.tfhe.bootstrap import programmable_bootstrap_batch
 from repro.tfhe.encoding import identity_test_polynomial
+from repro.tfhe.lwe import LweCiphertext
 from repro.tfhe.torus import encode_message
 
 P = 8
@@ -63,6 +65,55 @@ class TestContainer:
     def test_len(self, ctx, batch_rng):
         assert len(make_batch(ctx, [1, 2, 3], batch_rng)) == 3
 
+    def test_iter_yields_rows(self, ctx, batch_rng):
+        batch = make_batch(ctx, [1, 2, 3], batch_rng)
+        rows = iter(batch)
+        for i in range(batch.size):
+            row = next(rows)
+            assert isinstance(row, LweCiphertext)
+            np.testing.assert_array_equal(row.a, batch.a[i])
+            assert row.b == batch.b[i]
+        assert next(rows, None) is None
+
+
+def _as_ciphertext(a, b):
+    return LweCiphertext(a[0], b[0])
+
+
+class TestBoundaryCheck:
+    """Both constructors reject words that are not uint32 torus numerators."""
+
+    BAD_MASKS = {
+        "float": lambda a: a.astype(np.float64) + 0.5,
+        "int64_bit33": lambda a: a.astype(np.int64) + 2**33,
+        "negative_int64": lambda a: a.astype(np.int64) - 2**32,
+    }
+
+    @pytest.mark.parametrize("make", [LweBatch, _as_ciphertext],
+                             ids=["LweBatch", "LweCiphertext"])
+    @pytest.mark.parametrize("bad", sorted(BAD_MASKS))
+    def test_bad_mask_rejected(self, ctx, batch_rng, make, bad):
+        batch = make_batch(ctx, [1, 2], batch_rng)
+        mask = self.BAD_MASKS[bad](batch.a)
+        with pytest.raises(ValueError, match=rf"^a: .*{mask.dtype}"):
+            make(mask, batch.b)
+
+    def test_error_names_min_and_max(self):
+        with pytest.raises(ValueError, match="min -1, max 4294967296"):
+            LweBatch(np.array([[-1, 2**32]]), np.zeros(1, np.uint32))
+
+    def test_bad_body_named(self):
+        with pytest.raises(ValueError, match="^b: "):
+            LweCiphertext(np.zeros(4, np.uint32), -1)
+
+    @pytest.mark.parametrize("make", [LweBatch, _as_ciphertext],
+                             ids=["LweBatch", "LweCiphertext"])
+    def test_in_range_integers_accepted(self, make):
+        a = np.array([[0, 1, 2**32 - 1]], dtype=np.int64)
+        ct = make(a, np.array([7], dtype=np.int64))
+        assert ct.a.dtype == np.uint32
+        np.testing.assert_array_equal(ct.a.reshape(-1), [0, 1, 2**32 - 1])
+
 
 class TestLinearOps:
     def test_add(self, ctx, batch_rng):
@@ -119,16 +170,8 @@ class TestBatchBootstrap:
         msgs = [0, 1, 2, 3]
         batch = make_batch(ctx, msgs, batch_rng)
         tp = identity_test_polynomial(ctx.params, P)
-        out = bootstrap_batch(batch, tp, ctx.keyset)
-        np.testing.assert_array_equal(
-            decrypt_batch(out, P, ctx.keyset.lwe_key), msgs
-        )
-
-    def test_group_size_does_not_change_results(self, ctx, batch_rng):
-        msgs = [1, 2, 3]
-        batch = make_batch(ctx, msgs, batch_rng)
-        tp = identity_test_polynomial(ctx.params, P)
-        out = bootstrap_batch(batch, tp, ctx.keyset, group_size=2)
+        out = programmable_bootstrap_batch(batch, tp, ctx.keyset)
+        assert isinstance(out, LweBatch)
         np.testing.assert_array_equal(
             decrypt_batch(out, P, ctx.keyset.lwe_key), msgs
         )
@@ -139,11 +182,5 @@ class TestBatchBootstrap:
         batch = make_batch(ctx, [1, 2], batch_rng)
         tp = identity_test_polynomial(ctx.params, P)
         trace = BootstrapTrace()
-        bootstrap_batch(batch, tp, ctx.keyset, trace=trace)
+        programmable_bootstrap_batch(batch, tp, ctx.keyset, trace=trace)
         assert trace.external_products > ctx.params.n  # two bootstraps' worth
-
-    def test_rejects_bad_group_size(self, ctx, batch_rng):
-        batch = make_batch(ctx, [1], batch_rng)
-        tp = identity_test_polynomial(ctx.params, P)
-        with pytest.raises(ValueError):
-            bootstrap_batch(batch, tp, ctx.keyset, group_size=0)

@@ -18,6 +18,7 @@ from repro import observability as obs
 from repro.params import PARAM_SETS, TEST_PARAMS_K2
 from repro.tfhe import (
     KeySwitchingKey,
+    LweBatch,
     identity_test_polynomial,
     key_switch_batch,
     make_test_polynomial,
@@ -38,16 +39,29 @@ def _assert_bit_identical(batch_outs, scalar_outs):
         assert got.b == ref.b
 
 
+def _batch_both_ways(cts, tps, keyset):
+    """The kernel on both input kinds: a list, then one ``LweBatch``.
+
+    Each call must give back the kind it was given; the caller runs its
+    assertions on both.
+    """
+    as_list = programmable_bootstrap_batch(cts, tps, keyset)
+    as_batch = programmable_bootstrap_batch(LweBatch.from_ciphertexts(cts), tps, keyset)
+    assert isinstance(as_list, list)
+    assert isinstance(as_batch, LweBatch)
+    return as_list, as_batch
+
+
 class TestBitIdentity:
     def test_batch16_matches_scalar_toy(self, ctx):
         msgs = [m % (P // 2) for m in range(16)]
         cts = [ctx.encrypt(m, P) for m in msgs]
         tp = identity_test_polynomial(ctx.params, P)
-        batch = programmable_bootstrap_batch(cts, tp, ctx.keyset)
         scalar = [programmable_bootstrap(ct, tp, ctx.keyset) for ct in cts]
-        _assert_bit_identical(batch, scalar)
-        for m, out in zip(msgs, batch):
-            assert ctx.decrypt(out, P) == m
+        for batch in _batch_both_ways(cts, tp, ctx.keyset):
+            _assert_bit_identical(batch, scalar)
+            for m, out in zip(msgs, batch):
+                assert ctx.decrypt(out, P) == m
 
     def test_per_sample_test_polynomials(self, ctx):
         """A (B, N) test-poly stack applies row r's LUT to sample r."""
@@ -58,14 +72,14 @@ class TestBitIdentity:
         )
         cts = [ctx.encrypt(3, P), ctx.encrypt(3, P)]
         tps = np.stack([identity, square])
-        batch = programmable_bootstrap_batch(cts, tps, ctx.keyset)
-        _assert_bit_identical(
-            batch,
-            [programmable_bootstrap(cts[0], identity, ctx.keyset),
-             programmable_bootstrap(cts[1], square, ctx.keyset)],
-        )
-        assert ctx.decrypt(batch[0], P) == 3
-        assert ctx.decrypt(batch[1], P) == 1  # 9 mod 8
+        for batch in _batch_both_ways(cts, tps, ctx.keyset):
+            _assert_bit_identical(
+                batch,
+                [programmable_bootstrap(cts[0], identity, ctx.keyset),
+                 programmable_bootstrap(cts[1], square, ctx.keyset)],
+            )
+            assert ctx.decrypt(batch[0], P) == 3
+            assert ctx.decrypt(batch[1], P) == 1  # 9 mod 8
 
     def test_batch_matches_scalar_k2(self):
         """GLWE dimension k=2 exercises the full (component, level) grid."""
@@ -73,12 +87,12 @@ class TestBitIdentity:
         msgs = [0, 1, 2, 3, 1]
         cts = [ctx.encrypt(m, P) for m in msgs]
         tp = identity_test_polynomial(ctx.params, P)
-        batch = programmable_bootstrap_batch(cts, tp, ctx.keyset)
-        _assert_bit_identical(
-            batch, [programmable_bootstrap(ct, tp, ctx.keyset) for ct in cts]
-        )
-        for m, out in zip(msgs, batch):
-            assert ctx.decrypt(out, P) == m
+        for batch in _batch_both_ways(cts, tp, ctx.keyset):
+            _assert_bit_identical(
+                batch, [programmable_bootstrap(ct, tp, ctx.keyset) for ct in cts]
+            )
+            for m, out in zip(msgs, batch):
+                assert ctx.decrypt(out, P) == m
 
     def test_batch_matches_scalar_secure_set(self):
         """Bit-identity holds on a secure Table III set, not just toys."""
@@ -86,12 +100,50 @@ class TestBitIdentity:
         msgs = [0, 2, 3]
         cts = [ctx.encrypt(m, P) for m in msgs]
         tp = identity_test_polynomial(ctx.params, P)
-        batch = programmable_bootstrap_batch(cts, tp, ctx.keyset)
-        _assert_bit_identical(
-            batch, [programmable_bootstrap(ct, tp, ctx.keyset) for ct in cts]
-        )
-        for m, out in zip(msgs, batch):
-            assert ctx.decrypt(out, P) == m
+        for batch in _batch_both_ways(cts, tp, ctx.keyset):
+            _assert_bit_identical(
+                batch, [programmable_bootstrap(ct, tp, ctx.keyset) for ct in cts]
+            )
+            for m, out in zip(msgs, batch):
+                assert ctx.decrypt(out, P) == m
+
+
+class TestEntryChecks:
+    """Malformed input raises at the kernel entry, naming both shapes."""
+
+    def _batch(self, ctx, width):
+        cts = [ctx.encrypt(m, P) for m in (1, 2)]
+        a = np.stack([ct.a for ct in cts])
+        a = np.resize(a, (2, width)) if width > a.shape[1] else a[:, :width]
+        return LweBatch(a, np.array([ct.b for ct in cts]))
+
+    @pytest.mark.parametrize("delta", [5, -5])
+    def test_mask_width_must_match_keyset(self, ctx, delta):
+        n = ctx.params.n
+        batch = self._batch(ctx, n + delta)
+        tp = identity_test_polynomial(ctx.params, P)
+        with pytest.raises(ValueError) as info:
+            programmable_bootstrap_batch(batch, tp, ctx.keyset)
+        assert f"(2, {n + delta})" in str(info.value)
+        assert f"(2, {n})" in str(info.value)
+
+    @pytest.mark.parametrize("shape", ["short", "rows", "cols", "3d"])
+    def test_test_polys_shape(self, ctx, shape):
+        N = ctx.params.N
+        bad = {"short": (N - 1,), "rows": (3, N), "cols": (2, N + 1),
+               "3d": (1, 2, N)}[shape]
+        cts = [ctx.encrypt(m, P) for m in (1, 2)]
+        with pytest.raises(ValueError) as info:
+            programmable_bootstrap_batch(cts, np.zeros(bad, np.uint32), ctx.keyset)
+        assert str(bad) in str(info.value)
+        assert f"({N},) or (2, {N})" in str(info.value)
+
+    def test_empty_batch_keeps_its_kind(self, ctx):
+        tp = identity_test_polynomial(ctx.params, P)
+        empty = LweBatch(np.zeros((0, ctx.params.n), np.uint32), np.zeros(0, np.uint32))
+        out = programmable_bootstrap_batch(empty, tp, ctx.keyset)
+        assert isinstance(out, LweBatch) and out.a.shape == (0, ctx.params.n)
+        assert programmable_bootstrap_batch([], tp, ctx.keyset) == []
 
 
 class TestPrecisionModes:

@@ -81,3 +81,14 @@ class TestCiphertextRoundtrip:
         np.testing.assert_array_equal(loaded.a, ct.a)
         assert loaded.b == ct.b
         assert ctx.decrypt(loaded, P) == 3
+
+    def test_float_mask_archive_rejected(self, ctx, tmp_path):
+        """A tampered archive goes through the constructor's word check."""
+        from repro.tfhe.serialization import FORMAT_VERSION
+
+        path = tmp_path / "ct.npz"
+        ct = ctx.encrypt(3, P)
+        np.savez_compressed(path, version=np.array([FORMAT_VERSION]),
+                            a=ct.a.astype(np.float64) + 0.5, b=np.array([ct.b]))
+        with pytest.raises(ValueError, match="^a: .*float64"):
+            load_ciphertext(path)

@@ -13,6 +13,7 @@ import pytest
 import repro.transforms.fft  # noqa: F401  (registers the submodule)
 from repro import TfheContext
 from repro.params import PARAM_SETS
+from repro.tfhe.batch import LweBatch
 from repro.tfhe.bootstrap import programmable_bootstrap_batch
 
 # The transforms package re-exports fft() the function, shadowing the
@@ -43,14 +44,22 @@ def _bootstrap_on(name, cts, tp, keyset):
 
     The keyset's spectrum cache is dropped before and after, so the
     table (the eager BSK pre-transform) comes from the same engine as
-    the blind rotation, and no other test inherits it.
+    the blind rotation, and no other test inherits it.  The kernel runs
+    on the list and on one ``LweBatch`` of it; the batch must come back
+    as an ``LweBatch`` bit-identical to the list result, which is returned.
     """
     keyset.drop_spectrum_cache()
     try:
         with use_backend(name):
-            return programmable_bootstrap_batch(cts, tp, keyset)
+            outs = programmable_bootstrap_batch(cts, tp, keyset)
+            as_batch = programmable_bootstrap_batch(
+                LweBatch.from_ciphertexts(cts), tp, keyset
+            )
     finally:
         keyset.drop_spectrum_cache()
+    assert isinstance(as_batch, LweBatch)
+    _assert_bit_identical(outs, as_batch)
+    return outs
 
 
 def _assert_bit_identical(ref, got):
