@@ -4,7 +4,7 @@ This package is the instrumentation substrate every layer shares.  The
 process-wide singletons are
 
 - :data:`REGISTRY` - the :class:`~repro.observability.registry.MetricsRegistry`
-  all hot paths register their counters/gauges/histograms on;
+  all hot paths register their counters/gauges/quantiles on;
 - :data:`TRACER` - the :class:`~repro.observability.tracer.Tracer`
   collecting wall-clock and simulated-time spans;
 - :data:`COUNTERS` - the modelled hardware perf-counter bank;
@@ -96,11 +96,8 @@ from .noise import (
     noise_tracking,
 )
 from .registry import (
-    DEFAULT_BUCKETS,
-    TIME_BUCKETS,
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     Quantile,
 )
@@ -128,10 +125,7 @@ __all__ = [
     "MetricsRegistry",
     "Counter",
     "Gauge",
-    "Histogram",
     "Quantile",
-    "DEFAULT_BUCKETS",
-    "TIME_BUCKETS",
     "QuantileSketch",
     "DEFAULT_QUANTILES",
     "DEFAULT_RELATIVE_ACCURACY",

@@ -75,7 +75,7 @@ SUPPORTED_EVENT_SCHEMA_VERSIONS = (1, 2)
 #: The closed set of event kinds the bus carries.  Publishers may only
 #: use these; consumers switch on them.
 EVENT_KINDS = (
-    "metric",         # registry counter/gauge/histogram update
+    "metric",         # registry counter/gauge/quantile update
     "span",           # tracer span (wall-clock or simulated time)
     "counter",        # perf-counter cycles/bytes/ops accumulation
     "sample",         # perf-counter time-resolved (t, value) sample

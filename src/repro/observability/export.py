@@ -109,18 +109,7 @@ def render_prometheus(snapshot: dict) -> str:
         lines.append(f"# TYPE {name} {exposition_type}")
         for series in metric["values"]:
             labels = series["labels"]
-            if metric["type"] == "histogram":
-                for bound, count in series["buckets"].items():
-                    le = _format_labels(labels, {"le": _format_value(bound)})
-                    lines.append(f"{name}_bucket{le} {count}")
-                inf = _format_labels(labels, {"le": "+Inf"})
-                lines.append(f"{name}_bucket{inf} {series['count']}")
-                lines.append(
-                    f"{name}_sum{_format_labels(labels)} "
-                    f"{_format_value(series['sum'])}"
-                )
-                lines.append(f"{name}_count{_format_labels(labels)} {series['count']}")
-            elif metric["type"] == "quantile":
+            if metric["type"] == "quantile":
                 # Prometheus summary-style exposition: one sample per
                 # tracked quantile plus _sum/_count.
                 for q, estimate in series["quantiles"].items():

@@ -53,11 +53,6 @@ __all__ = [
 _Q = float(1 << 32)
 _MASK = (1 << 32) - 1
 
-#: Histogram buckets for torus-unit noise magnitudes: powers of two from
-#: 2^-36 up to 2^-2 (fresh TFHE noise lives around 2^-15..2^-30).
-NOISE_STD_BUCKETS = tuple(2.0 ** -e for e in range(36, 1, -2))
-
-
 @dataclass
 class NoiseRecord:
     """Provenance of one tracked ciphertext: one record per producing op.
@@ -360,21 +355,19 @@ class NoiseTracker:
         return diff / _Q
 
     def _export(self, record: NoiseRecord) -> None:
-        """Mirror one record into the registry histograms and the tracer."""
+        """Mirror one record into the registry quantiles and the tracer."""
         from . import REGISTRY, TRACER
 
         if REGISTRY.enabled:
-            predicted = REGISTRY.histogram(
+            predicted = REGISTRY.quantile(
                 "tfhe_noise_predicted_std",
                 "Predicted per-op noise stddev (torus units), by op",
-                buckets=NOISE_STD_BUCKETS,
             )
             predicted.observe(record.predicted_std, op=record.op)
             if record.measured is not None:
-                measured = REGISTRY.histogram(
+                measured = REGISTRY.quantile(
                     "tfhe_noise_measured_abs",
                     "Measured |centered phase error| (torus units), by op",
-                    buckets=NOISE_STD_BUCKETS,
                 )
                 measured.observe(abs(record.measured), op=record.op)
         if TRACER.enabled:

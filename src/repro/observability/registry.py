@@ -1,4 +1,4 @@
-"""Process-wide metrics registry: counters, gauges and histograms.
+"""Process-wide metrics registry: counters, gauges and quantiles.
 
 The registry is the accounting half of :mod:`repro.observability`.  Hot
 paths (the blind-rotation loop, the FFT engines, the HBM model) register
@@ -32,25 +32,9 @@ from .sketch import DEFAULT_QUANTILES, DEFAULT_RELATIVE_ACCURACY, QuantileSketch
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
     "Quantile",
     "MetricsRegistry",
-    "DEFAULT_BUCKETS",
-    "TIME_BUCKETS",
 ]
-
-#: Default histogram buckets: powers of four covering transform sizes
-#: (tens) through simulated byte volumes (billions).
-DEFAULT_BUCKETS = tuple(float(4**e) for e in range(1, 16))
-
-#: Log-spaced *seconds* ladder for time-valued histograms: half-decade
-#: steps from 1 microsecond to 1000 seconds.  The powers-of-four
-#: :data:`DEFAULT_BUCKETS` ladder starts at 4 (seconds!), so every
-#: latency used to collapse into its first bucket; time-valued call
-#: sites must pass this ladder instead.
-TIME_BUCKETS = tuple(
-    round(10.0 ** (e / 2.0), 12) for e in range(-12, 7)
-)
 
 
 def _label_key(labels: Dict[str, Any]) -> Tuple[Tuple[str, Any], ...]:
@@ -145,56 +129,13 @@ class Gauge(_Metric):
         self.inc(-amount, **labels)
 
 
-class Histogram(_Metric):
-    """Distribution with cumulative buckets (Prometheus semantics)."""
-
-    kind = "histogram"
-
-    def __init__(self, registry: "MetricsRegistry", name: str, help: str = "",
-                 buckets: Iterable[float] = DEFAULT_BUCKETS):
-        super().__init__(registry, name, help)
-        self.buckets = tuple(sorted(float(b) for b in buckets))
-        if not self.buckets:
-            raise ValueError("histogram needs at least one bucket bound")
-
-    def _series_snapshot(self, value) -> dict:
-        count, total, per_bucket = value
-        cumulative = {}
-        running = 0
-        for bound, n in zip(self.buckets, per_bucket):
-            running += n
-            cumulative[bound] = running
-        return {"count": count, "sum": total, "buckets": cumulative}
-
-    def observe(self, value: float, count: int = 1, **labels: Any) -> None:
-        """Record ``count`` observations of ``value`` (batch-friendly)."""
-        if not self.registry.enabled:
-            return
-        key = _label_key(labels)
-        with self._lock:
-            series = self._series.get(key)
-            if series is None:
-                series = [0, 0.0, [0] * len(self.buckets)]
-                self._series[key] = series
-            series[0] += count
-            series[1] += value * count
-            for i, bound in enumerate(self.buckets):
-                if value <= bound:
-                    series[2][i] += count
-                    break
-        if _BUS.enabled:
-            _BUS.publish("metric", self.name, value=value,
-                         metric="histogram", count=count, labels=labels)
-
-
 class Quantile(_Metric):
     """Streaming quantile distribution (mergeable DDSketch per label set).
 
-    Where :class:`Histogram` answers "how many fell below X" for a fixed
-    ladder, a quantile metric answers "what is the p99" with a bounded
-    relative error, and its per-label-set sketches merge exactly across
-    shards (see :mod:`repro.observability.sketch`).  This is the metric
-    kind behind every request-latency SLO.
+    The registry's one distribution kind: it answers "what is the p99"
+    with a bounded relative error, and its per-label-set sketches merge
+    exactly across shards (see :mod:`repro.observability.sketch`).  This
+    is the metric kind behind every request-latency SLO.
     """
 
     kind = "quantile"
@@ -281,10 +222,6 @@ class MetricsRegistry:
 
     def gauge(self, name: str, help: str = "") -> Gauge:
         return self._register(Gauge, name, help)
-
-    def histogram(self, name: str, help: str = "",
-                  buckets: Iterable[float] = DEFAULT_BUCKETS) -> Histogram:
-        return self._register(Histogram, name, help, buckets=buckets)
 
     def quantile(self, name: str, help: str = "",
                  relative_accuracy: float = DEFAULT_RELATIVE_ACCURACY,

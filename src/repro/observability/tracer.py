@@ -44,26 +44,6 @@ from .bus import BUS as _BUS
 
 __all__ = ["Span", "Tracer", "traced"]
 
-#: Lazily registered wall-clock span-duration histogram (TIME_BUCKETS
-#: seconds ladder).  Lazy because the process registry singleton lives in
-#: the package ``__init__`` which imports this module.
-_SPAN_SECONDS: Optional[Any] = None
-
-
-def _span_seconds_metric() -> Any:
-    global _SPAN_SECONDS
-    if _SPAN_SECONDS is None:
-        from . import REGISTRY
-        from .registry import TIME_BUCKETS
-
-        _SPAN_SECONDS = REGISTRY.histogram(
-            "tracer_span_seconds",
-            "Wall-clock span durations recorded by the tracer, by category",
-            buckets=TIME_BUCKETS,
-        )
-    return _SPAN_SECONDS
-
-
 @dataclass(frozen=True)
 class Span:
     """One completed span on the trace timeline (times in microseconds)."""
@@ -141,11 +121,6 @@ class Tracer:
                     category=category,
                     track=track,
                     args=args,
-                )
-                # Wall-clock spans also land on the seconds-ladder histogram
-                # (TIME_BUCKETS); simulated-time add_span callers do not.
-                _span_seconds_metric().observe(
-                    end - start, category=category or "uncategorized"
                 )
             finally:
                 if token is not None:

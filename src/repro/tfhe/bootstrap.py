@@ -10,9 +10,10 @@ The four stages map one-to-one onto Morphling's hardware:
   regrouping on the VPU;
 - :func:`key_switch` - the memory-bound KSK contraction on the VPU.
 
-:func:`programmable_bootstrap_batch` composes them and optionally records
-per-stage operation counts through a :class:`BootstrapTrace` so the
-analysis layer (Fig. 1) can account real executions rather than formulas.
+:func:`programmable_bootstrap_batch` composes them.  The measured
+operation counts are the ``tfhe_*`` registry counters published here and
+``transforms_fft_total`` in :mod:`repro.transforms.fft`; the analytic
+counts behind Fig. 1 live in :mod:`repro.analysis.opcount`.
 
 The execution path is *batch-first*: :func:`blind_rotate_batch` runs ``B``
 independent accumulators through every BSK row together - the software
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union, overload
 
 import numpy as np
@@ -56,7 +56,6 @@ from .polynomial import monomial_rotate_batch
 from .torus import TORUS_DTYPE, modswitch, to_signed, to_torus, torus_words, u32
 
 __all__ = [
-    "BootstrapTrace",
     "modulus_switch",
     "blind_rotate",
     "blind_rotate_batch",
@@ -74,9 +73,6 @@ _BR_STEPS = _METRICS.counter(
     "tfhe_blind_rotation_steps_total",
     "Blind-rotation CMux iterations executed (zero digits skipped)",
 )
-_EXTERNAL_PRODUCTS = _METRICS.counter(
-    "tfhe_external_products_total", "GGSW external products executed, by engine"
-)
 _KEY_SWITCHES = _METRICS.counter(
     "tfhe_key_switches_total", "LWE key switches executed"
 )
@@ -85,22 +81,6 @@ _BOOTSTRAP_LATENCY = _METRICS.quantile(
     "Wall-clock request latency of the functional bootstrap path; every "
     "request in a batch waits for the whole batch",
 )
-
-
-@dataclass
-class BootstrapTrace:
-    """Counters filled in by an instrumented bootstrap run."""
-
-    external_products: int = 0
-    forward_transforms: int = 0
-    inverse_transforms: int = 0
-    pointwise_mult_polys: int = 0
-    rotations: int = 0
-    ks_scalar_mults: int = 0
-    ms_operations: int = 0
-
-    def total_transforms(self) -> int:
-        return self.forward_transforms + self.inverse_transforms
 
 
 def modulus_switch(ct: LweCiphertext, N: int) -> tuple:
@@ -118,7 +98,6 @@ def blind_rotate_batch(
     b_tilde: np.ndarray,
     test_polys: np.ndarray,
     keyset: KeySet,
-    trace: Optional[BootstrapTrace] = None,
     precision: str = "double",
 ) -> np.ndarray:
     """Blind-rotate ``B`` independent accumulators through one BSK pass.
@@ -164,15 +143,8 @@ def blind_rotate_batch(
         else:
             acc[active] = sub + update
         total_steps += steps
-        if trace is not None:
-            trace.external_products += steps
-            trace.rotations += steps
-            trace.forward_transforms += steps * (k + 1) * l_b
-            trace.inverse_transforms += steps * (k + 1)
-            trace.pointwise_mult_polys += steps * (k + 1) ** 2 * l_b
     if total_steps and _METRICS.enabled:
         _BR_STEPS.inc(total_steps)
-        _EXTERNAL_PRODUCTS.inc(total_steps, engine="transform")
     return acc
 
 
@@ -182,7 +154,6 @@ def blind_rotate(
     test_poly: np.ndarray,
     keyset: KeySet,
     engine: str = "transform",
-    trace: Optional[BootstrapTrace] = None,
 ) -> GlweCiphertext:
     """Blind rotation: ACC <- X^{-b~} * TP, then ``n`` CMux iterations.
 
@@ -199,7 +170,6 @@ def blind_rotate(
             np.asarray([b_tilde], dtype=np.int64),
             np.asarray(test_poly, dtype=TORUS_DTYPE),
             keyset,
-            trace=trace,
         )
         return GlweCiphertext(acc_batch[0])
     acc = glwe_trivial(test_poly, params.k)
@@ -212,15 +182,8 @@ def blind_rotate(
         rotated = glwe_rotate(acc, t)
         acc = cmux(keyset.bsk[i], acc, rotated, engine=engine)
         steps += 1
-        if trace is not None:
-            trace.external_products += 1
-            trace.rotations += 1
-            trace.forward_transforms += (params.k + 1) * params.l_b
-            trace.inverse_transforms += params.k + 1
-            trace.pointwise_mult_polys += (params.k + 1) ** 2 * params.l_b
     if steps and _METRICS.enabled:
         _BR_STEPS.inc(steps)
-        _EXTERNAL_PRODUCTS.inc(steps, engine=engine)
     return acc
 
 
@@ -228,7 +191,6 @@ def key_switch_batch(
     a: np.ndarray,
     b: np.ndarray,
     ksk: KeySwitchingKey,
-    trace: Optional[BootstrapTrace] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Switch ``B`` extracted LWE samples back to the original key.
 
@@ -247,8 +209,6 @@ def key_switch_batch(
     d64 = digits.transpose(0, 2, 1)  # (B, kN, l_k)
     mask_acc = -np.einsum("bml,mln->bn", d64, ksk.masks)
     body_acc = np.asarray(b).astype(np.int64) - np.einsum("bml,ml->b", d64, ksk.bodies)
-    if trace is not None:
-        trace.ks_scalar_mults += int(digits.size) * (ksk.out_dimension + 1)
     _KEY_SWITCHES.inc(a.shape[0])
     return to_torus(mask_acc), to_torus(body_acc)
 
@@ -256,7 +216,6 @@ def key_switch_batch(
 def key_switch(
     ct: LweCiphertext,
     ksk: KeySwitchingKey,
-    trace: Optional[BootstrapTrace] = None,
 ) -> LweCiphertext:
     """Switch an extracted LWE ciphertext back to the original key.
 
@@ -264,9 +223,7 @@ def key_switch(
     (Algorithm 1, line 6), a batch-of-one view of
     :func:`key_switch_batch`.
     """
-    out_a, out_b = key_switch_batch(
-        ct.a[None, :], np.asarray([ct.b]), ksk, trace=trace
-    )
+    out_a, out_b = key_switch_batch(ct.a[None, :], np.asarray([ct.b]), ksk)
     return LweCiphertext(out_a[0], out_b[0])
 
 
@@ -332,7 +289,6 @@ def programmable_bootstrap(
     test_poly: np.ndarray,
     keyset: KeySet,
     engine: str = "transform",
-    trace: Optional[BootstrapTrace] = None,
 ) -> LweCiphertext:
     """Full programmable bootstrap of one LWE ciphertext (Algorithm 1).
 
@@ -345,16 +301,12 @@ def programmable_bootstrap(
     with _TRACER.span("programmable_bootstrap", category="tfhe",
                       engine=engine, n=params.n, N=params.N):
         if engine == "transform":
-            return programmable_bootstrap_batch([ct], test_poly, keyset, trace=trace)[0]
+            return programmable_bootstrap_batch([ct], test_poly, keyset)[0]
         t0 = time.perf_counter() if (_METRICS.enabled or _BUS.enabled) else None
         a_tilde, b_tilde = modulus_switch(ct, params.N)
-        if trace is not None:
-            trace.ms_operations += params.n + 1
-        acc = blind_rotate(
-            a_tilde, b_tilde, test_poly, keyset, engine=engine, trace=trace
-        )
+        acc = blind_rotate(a_tilde, b_tilde, test_poly, keyset, engine=engine)
         extracted = sample_extract(acc, 0)
-        result = key_switch(extracted, keyset.ksk, trace=trace)
+        result = key_switch(extracted, keyset.ksk)
     _BOOTSTRAPS.inc()
     if t0 is not None:
         elapsed = time.perf_counter() - t0
@@ -393,16 +345,14 @@ def check_batch_inputs(
 @overload
 def programmable_bootstrap_batch(
     cts: LweBatch, test_polys: np.ndarray, keyset: KeySet,
-    trace: Optional[BootstrapTrace] = ..., precision: str = ...,
-    noise_labels: Optional[Sequence[str]] = ...,
+    precision: str = ..., noise_labels: Optional[Sequence[str]] = ...,
 ) -> LweBatch: ...
 
 
 @overload
 def programmable_bootstrap_batch(
     cts: Sequence[LweCiphertext], test_polys: np.ndarray, keyset: KeySet,
-    trace: Optional[BootstrapTrace] = ..., precision: str = ...,
-    noise_labels: Optional[Sequence[str]] = ...,
+    precision: str = ..., noise_labels: Optional[Sequence[str]] = ...,
 ) -> List[LweCiphertext]: ...
 
 
@@ -410,7 +360,6 @@ def programmable_bootstrap_batch(
     cts: Union[LweBatch, Sequence[LweCiphertext]],
     test_polys: np.ndarray,
     keyset: KeySet,
-    trace: Optional[BootstrapTrace] = None,
     precision: str = "double",
     noise_labels: Optional[Sequence[str]] = None,
 ) -> Union[LweBatch, List[LweCiphertext]]:
@@ -441,13 +390,9 @@ def programmable_bootstrap_batch(
                           batch=batch, n=params.n, N=params.N, precision=precision):
             a_tilde = modswitch(cts.a, 2 * params.N)
             b_tilde = modswitch(cts.b, 2 * params.N)
-            if trace is not None:
-                trace.ms_operations += batch * (params.n + 1)
-            acc = blind_rotate_batch(
-                a_tilde, b_tilde, tps, keyset, trace=trace, precision=precision
-            )
+            acc = blind_rotate_batch(a_tilde, b_tilde, tps, keyset, precision=precision)
             ext_a, ext_b = sample_extract_batch(acc)
-            out = LweBatch(*key_switch_batch(ext_a, ext_b, keyset.ksk, trace=trace))
+            out = LweBatch(*key_switch_batch(ext_a, ext_b, keyset.ksk))
     except Exception as exc:
         _report_anomaly("exception", where="programmable_bootstrap_batch",
                         error=repr(exc), batch=batch)

@@ -16,11 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from typing import Optional
-
 from ..observability import NOISE as _NOISE
 from ..params import TFHEParams
-from .bootstrap import BootstrapTrace, programmable_bootstrap, programmable_bootstrap_batch
+from .bootstrap import programmable_bootstrap, programmable_bootstrap_batch
 from .encoding import make_test_polynomial, message_to_signed, signed_to_message
 from .keys import KeySet, generate_keyset
 from .lwe import (
@@ -57,7 +55,6 @@ class TfheContext:
     keyset: KeySet
     default_p: int = 8
     engine: str = "transform"
-    trace: Optional[BootstrapTrace] = None
 
     # -- construction -------------------------------------------------
     @classmethod
@@ -118,8 +115,7 @@ class TfheContext:
         """Programmable bootstrap evaluating ``lut_half`` over ``[0, p/2)``."""
         p = p or self.default_p
         tp = self._lut_test_poly(lut_half, p)
-        return programmable_bootstrap(ct, tp, self.keyset,
-                                      engine=self.engine, trace=self.trace)
+        return programmable_bootstrap(ct, tp, self.keyset, engine=self.engine)
 
     def _lut_test_poly(self, lut_half, p: int) -> np.ndarray:
         lut = np.asarray([lut_half(x) if callable(lut_half) else lut_half[x]
@@ -148,7 +144,7 @@ class TfheContext:
             return outs
         tps = np.stack([self._lut_test_poly(lut_half, p) for lut_half in lut_halves])
         return programmable_bootstrap_batch(
-            cts, tps, self.keyset, trace=self.trace, noise_labels=noise_labels
+            cts, tps, self.keyset, noise_labels=noise_labels
         )
 
     def gate_batch(self, names: list, xs: list, ys: list) -> list:

@@ -70,15 +70,34 @@ def _check_version(data) -> None:
         raise ValueError(f"unsupported format version {version}")
 
 
+def _expected_shapes(params: TFHEParams, with_secrets: bool) -> dict:
+    """Shape of every key array an archive of ``params`` must hold."""
+    k, N, n = params.k, params.N, params.n
+    shapes = {
+        "bsk_rows": (n, (k + 1) * params.l_b, k + 1, N),
+        "ksk_masks": (k * N, params.l_k, n),
+        "ksk_bodies": (k * N, params.l_k),
+    }
+    if with_secrets:
+        shapes.update(lwe_key=(n,), glwe_key=(k, N))
+    return shapes
+
+
 def _rebuild_keys(data, with_secrets: bool) -> KeySet:
     params = _params_from_record(data["params"], str(data["params_name"][0]))
-    bsk = [
-        GgswCiphertext(rows, params.beta_bits) for rows in data["bsk_rows"]
-    ]
-    ksk = KeySwitchingKey(data["ksk_masks"], data["ksk_bodies"], params.beta_ks_bits)
+    arrays = {}
+    for name, expected in _expected_shapes(params, with_secrets).items():
+        arrays[name] = data[name]
+        if arrays[name].shape != expected:
+            raise ValueError(
+                f"archive array {name!r} has shape {arrays[name].shape}; "
+                f"the recorded parameters expect {expected}"
+            )
+    bsk = [GgswCiphertext(rows, params.beta_bits) for rows in arrays["bsk_rows"]]
+    ksk = KeySwitchingKey(arrays["ksk_masks"], arrays["ksk_bodies"], params.beta_ks_bits)
     if with_secrets:
-        lwe_key = LweSecretKey(data["lwe_key"])
-        glwe_key = GlweSecretKey(data["glwe_key"])
+        lwe_key = LweSecretKey(arrays["lwe_key"])
+        glwe_key = GlweSecretKey(arrays["glwe_key"])
     else:
         lwe_key = None
         glwe_key = None

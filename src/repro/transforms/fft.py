@@ -31,9 +31,6 @@ __all__ = [
 _FFT_CALLS = _METRICS.counter(
     "transforms_fft_total", "FFT passes executed, by direction (batch-aware)"
 )
-_FFT_POINTS = _METRICS.histogram(
-    "transforms_fft_points", "Distribution of FFT transform lengths"
-)
 
 
 def _count_transforms(shape: Tuple[int, ...], direction: str) -> None:
@@ -42,7 +39,6 @@ def _count_transforms(shape: Tuple[int, ...], direction: str) -> None:
     for dim in shape[:-1]:
         count *= int(dim)
     _FFT_CALLS.inc(count, direction=direction)
-    _FFT_POINTS.observe(shape[-1], count=count)
 
 
 def _as_complex(x: np.ndarray) -> np.ndarray:

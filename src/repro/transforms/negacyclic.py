@@ -21,12 +21,9 @@ reference ("golden") multiplier in tests and for small functional runs.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 from numpy.typing import DTypeLike
 
-from ..observability import REGISTRY as _METRICS
 from .fft import fft, ifft
 
 __all__ = [
@@ -41,19 +38,6 @@ _TWIST_CACHE: dict = {}
 
 #: Mapping real input dtype -> complex working dtype for the folded FFT.
 _COMPLEX_FOR_REAL = {np.dtype(np.float32): np.complex64}
-
-_NEGACYCLIC = _METRICS.counter(
-    "transforms_negacyclic_total",
-    "Negacyclic polynomial transforms, by direction (batch-aware)",
-)
-
-
-def _count_polys(shape: Tuple[int, ...]) -> int:
-    count = 1
-    for dim in shape[:-1]:
-        count *= int(dim)
-    return count
-
 
 def transform_length(n: int) -> int:
     """FFT length used for an ``n``-coefficient negacyclic transform."""
@@ -91,8 +75,6 @@ def negacyclic_fft(p: np.ndarray) -> np.ndarray:
         p = p.astype(np.float64)
     n = p.shape[-1]
     half = transform_length(n)
-    if _METRICS.enabled:
-        _NEGACYCLIC.inc(_count_polys(p.shape), direction="forward")
     folded = np.empty(p.shape[:-1] + (half,), dtype=cdtype)
     folded.real = p[..., :half]
     folded.imag = p[..., half:]
@@ -111,8 +93,6 @@ def negacyclic_ifft(spectrum: np.ndarray, n: int) -> np.ndarray:
         raise ValueError(
             f"spectrum length {spectrum.shape[-1]} != N/2 = {half}"
         )
-    if _METRICS.enabled:
-        _NEGACYCLIC.inc(_count_polys(spectrum.shape), direction="inverse")
     folded = ifft(spectrum)
     folded *= np.conj(_twist(n, folded.dtype))
     real_dtype = np.float32 if folded.dtype == np.complex64 else np.float64

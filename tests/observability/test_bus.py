@@ -164,7 +164,7 @@ class TestSystemHooks:
             try:
                 obs.REGISTRY.counter("bus_hook_total").inc(2, stage="br")
                 obs.REGISTRY.gauge("bus_hook_depth").set(4.0)
-                obs.REGISTRY.histogram("bus_hook_hist").observe(3.0)
+                obs.REGISTRY.quantile("bus_hook_seconds").observe(3.0)
                 obs.TRACER.add_span("hooked", ts_us=0.0, dur_us=1.0)
                 obs.COUNTERS.add_cycles("xpu/stage/rotation", 10.0)
                 obs.COUNTERS.add_bytes("hbm/channel/0", 64.0)

@@ -8,7 +8,13 @@ from repro.core.accelerator import MorphlingConfig
 from repro.core.scheduler import HwScheduler, LayerDemand, SwScheduler
 from repro.core.simulator import simulate_bootstrap
 from repro.params import get_params
-from repro.tfhe import identity_test_polynomial, programmable_bootstrap
+from repro.tfhe import (
+    identity_test_polynomial,
+    programmable_bootstrap,
+    programmable_bootstrap_batch,
+)
+from repro.tfhe.batch import LweBatch
+from repro.tfhe.torus import modswitch
 from repro.transforms.fft import fft, ifft
 from repro.transforms.negacyclic import negacyclic_convolve_fft
 
@@ -37,10 +43,11 @@ class TestTransformCounters:
         assert _counter("transforms_fft_total", direction="inverse") == 1
 
     def test_negacyclic_convolve_counts_both_directions(self):
+        # Each negacyclic transform is one counted FFT pass.
         with obs.telemetry():
             negacyclic_convolve_fft(np.ones(16), np.ones(16))
-        assert _counter("transforms_negacyclic_total", direction="forward") == 2
-        assert _counter("transforms_negacyclic_total", direction="inverse") == 1
+        assert _counter("transforms_fft_total", direction="forward") == 2
+        assert _counter("transforms_fft_total", direction="inverse") == 1
 
     def test_disabled_records_nothing(self):
         fft(np.zeros(8, dtype=np.complex128))
@@ -57,11 +64,47 @@ class TestFunctionalBootstrapTelemetry:
         assert _counter("tfhe_bootstraps_total") == 1
         assert 0 < _counter("tfhe_blind_rotation_steps_total") <= p.n
         assert _counter("tfhe_key_switches_total") == 1
-        assert _counter("tfhe_external_products_total", engine="transform") > 0
         # real FFT work happened underneath
         assert _counter("transforms_fft_total", direction="forward") > 0
         names = [s.name for s in obs.TRACER.spans()]
         assert "programmable_bootstrap" in names
+
+
+class TestEnabledEventBudget:
+    def test_two_metric_events_per_active_row_plus_fixed_per_call_set(self, ctx):
+        p = ctx.params
+        batch = LweBatch.from_ciphertexts([ctx.encrypt(m, 8) for m in range(4)])
+        tp = identity_test_polynomial(p, 8)
+        active_rows = int(np.count_nonzero(modswitch(batch.a, 2 * p.N).any(axis=0)))
+        ctx.keyset.bsk_spectrum_table()  # the one-off BSK transform is keygen work
+        events = []
+        obs.BUS.subscribe(events.append)
+        try:
+            with obs.telemetry():
+                programmable_bootstrap_batch(batch, tp, ctx.keyset)
+        finally:
+            obs.BUS.unsubscribe(events.append)
+
+        metric = [(e.name, e.fields.get("labels")) for e in events if e.kind == "metric"]
+        fwd = ("transforms_fft_total", {"direction": "forward"})
+        inv = ("transforms_fft_total", {"direction": "inverse"})
+        assert metric.count(fwd) == metric.count(inv) == active_rows
+        per_call = sorted(name for name, labels in metric
+                          if (name, labels) not in (fwd, inv))
+        assert per_call == [
+            "tfhe_blind_rotation_steps_total",
+            "tfhe_bootstrap_latency_seconds",
+            "tfhe_bootstraps_total",
+            "tfhe_key_switches_total",
+        ]
+        others = sorted((e.kind, e.name) for e in events if e.kind != "metric")
+        assert others == [
+            ("batch", "tfhe/bootstrap_batch"),
+            ("request", "tfhe/bootstrap_batch"),
+            ("span", "programmable_bootstrap_batch"),
+        ]
+        kinds = {m["type"] for m in obs.REGISTRY.snapshot().values()}
+        assert kinds <= {"counter", "gauge", "quantile"}
 
 
 class TestSimulatorTelemetry:

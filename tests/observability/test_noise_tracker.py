@@ -208,8 +208,11 @@ class TestExport:
         try:
             obs.reset()
             obs.NOISE.track(ct(), "lwe_encrypt", 1e-14, 100)
-            hist = obs.REGISTRY.get("tfhe_noise_predicted_std")
-            assert hist is not None
+            snap = obs.REGISTRY.snapshot()["tfhe_noise_predicted_std"]
+            assert snap["type"] == "quantile"
+            (series,) = snap["values"]
+            assert series["labels"] == {"op": "lwe_encrypt"}
+            assert series["count"] == 1
             (span,) = obs.TRACER.spans()
             assert span.name == "noise/lwe_encrypt"
             assert span.args["predicted_std_log2"] == pytest.approx(

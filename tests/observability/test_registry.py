@@ -1,4 +1,4 @@
-"""Tests for the metrics registry: counters, gauges, histograms, labels."""
+"""Tests for the metrics registry: counters, gauges, labels."""
 
 import threading
 
@@ -58,31 +58,6 @@ class TestGauge:
         g = reg.gauge("occupancy")
         g.set(0.5, stage="fft")
         assert g.value(stage="fft") == 0.5
-
-
-class TestHistogram:
-    def test_observe_and_snapshot(self, reg):
-        h = reg.histogram("sizes", buckets=(10, 100, 1000))
-        h.observe(5)
-        h.observe(50, count=3)
-        h.observe(5000)
-        snap = h.snapshot()
-        (series,) = snap["values"]
-        assert series["count"] == 5
-        assert series["sum"] == 5 + 150 + 5000
-        # cumulative buckets; the 5000 observation overflows every bound
-        assert series["buckets"] == {10.0: 1, 100.0: 4, 1000.0: 4}
-
-    def test_batch_observation_weights_count(self, reg):
-        h = reg.histogram("batched", buckets=(8,))
-        h.observe(4, count=10)
-        (series,) = h.snapshot()["values"]
-        assert series["count"] == 10
-        assert series["sum"] == 40
-
-    def test_empty_buckets_rejected(self, reg):
-        with pytest.raises(ValueError):
-            reg.histogram("broken", buckets=())
 
 
 class TestRegistry:

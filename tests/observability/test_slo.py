@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.observability.registry import TIME_BUCKETS, MetricsRegistry
+from repro.observability.registry import MetricsRegistry
 from repro.observability.sketch import DEFAULT_QUANTILES, QuantileSketch
 from repro.observability.slo import (
     SLO_REPORT_SCHEMA_VERSION,
@@ -157,7 +157,7 @@ class TestSketchEdges:
 
 
 # ---------------------------------------------------------------------------
-# Quantile metric kind + TIME_BUCKETS
+# Quantile metric kind
 # ---------------------------------------------------------------------------
 class TestQuantileMetric:
     def test_observe_snapshot_and_merged(self):
@@ -189,32 +189,6 @@ class TestQuantileMetric:
         assert "# TYPE lat_seconds summary" in text
         assert 'lat_seconds{quantile="0.5"}' in text
         assert "lat_seconds_count 10" in text
-
-    def test_time_buckets_ladder_spans_microseconds_to_kiloseconds(self):
-        assert TIME_BUCKETS[0] == pytest.approx(1e-6)
-        assert TIME_BUCKETS[-1] == pytest.approx(1e3)
-        ratios = [b / a for a, b in zip(TIME_BUCKETS, TIME_BUCKETS[1:])]
-        # Log-spaced: every step is the same half-decade multiplier
-        # (bounds are rounded to 12 decimals, so compare loosely).
-        assert all(r == pytest.approx(math.sqrt(10.0), rel=1e-3) for r in ratios)
-
-    def test_tracer_spans_feed_time_bucket_histogram(self):
-        from repro import observability as obs
-
-        obs.REGISTRY.enable()
-        obs.TRACER.enable()
-        try:
-            with obs.TRACER.span("slo_test_span", category="test"):
-                pass
-            snap = obs.REGISTRY.snapshot()["tracer_span_seconds"]
-            series = [v for v in snap["values"]
-                      if v["labels"].get("category") == "test"]
-            assert series and series[0]["count"] >= 1
-            assert tuple(series[0]["buckets"]) == TIME_BUCKETS
-        finally:
-            obs.disable()
-            obs.REGISTRY.reset()
-            obs.TRACER.reset()
 
 
 # ---------------------------------------------------------------------------

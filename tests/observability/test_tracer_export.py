@@ -105,20 +105,19 @@ class TestToJsonable:
 
 
 class TestPrometheus:
-    def test_counter_gauge_histogram_exposition(self):
+    def test_counter_gauge_quantile_exposition(self):
         reg = MetricsRegistry(enabled=True)
         reg.counter("c_total", "counts things").inc(3, kind="a")
         reg.gauge("g").set(1.5)
-        reg.histogram("h", buckets=(1, 10)).observe(5)
+        reg.quantile("q").observe(5)
         text = render_prometheus(reg.snapshot())
         assert "# HELP c_total counts things" in text
         assert "# TYPE c_total counter" in text
         assert 'c_total{kind="a"} 3' in text
         assert "g 1.5" in text
-        assert 'h_bucket{le="10"} 1' in text
-        assert 'h_bucket{le="+Inf"} 1' in text
-        assert "h_sum 5" in text
-        assert "h_count 1" in text
+        assert "# TYPE q summary" in text
+        assert "q_sum 5" in text
+        assert "q_count 1" in text
 
     def test_empty_snapshot_renders_empty(self):
         assert render_prometheus({}) == ""

@@ -175,12 +175,3 @@ class TestBatchBootstrap:
         np.testing.assert_array_equal(
             decrypt_batch(out, P, ctx.keyset.lwe_key), msgs
         )
-
-    def test_trace_accumulates_across_group(self, ctx, batch_rng):
-        from repro.tfhe import BootstrapTrace
-
-        batch = make_batch(ctx, [1, 2], batch_rng)
-        tp = identity_test_polynomial(ctx.params, P)
-        trace = BootstrapTrace()
-        programmable_bootstrap_batch(batch, tp, ctx.keyset, trace=trace)
-        assert trace.external_products > ctx.params.n  # two bootstraps' worth

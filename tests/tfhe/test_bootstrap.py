@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.tfhe import (
-    BootstrapTrace,
     identity_test_polynomial,
     key_switch,
     make_test_polynomial,
@@ -57,15 +56,6 @@ class TestKeySwitch:
         with pytest.raises(ValueError):
             key_switch(lwe_trivial(0, 3), ctx.keyset.ksk)
 
-    def test_trace_counts_scalar_mults(self, ctx, rng):
-        glwe_key = ctx.keyset.glwe_key
-        big_key = LweSecretKey(glwe_key.extracted_lwe_bits())
-        big_ct = lwe_encrypt(0, big_key, rng, noise_log2=-25.0)
-        trace = BootstrapTrace()
-        key_switch(big_ct, ctx.keyset.ksk, trace=trace)
-        params = ctx.params
-        expected = params.k * params.N * params.l_k * (params.n + 1)
-        assert trace.ks_scalar_mults == expected
 
 
 class TestProgrammableBootstrap:
@@ -108,21 +98,6 @@ class TestProgrammableBootstrap:
         expected = int(encode_message(1, P)[()])
         refreshed = abs(measure_lwe_noise(out, ctx.keyset.lwe_key, expected))
         assert refreshed < 1.0 / (2 * P)
-
-    def test_trace_operation_counts(self, ctx):
-        params = ctx.params
-        trace = BootstrapTrace()
-        tp = identity_test_polynomial(params, P)
-        programmable_bootstrap(enc(ctx, 1), tp, ctx.keyset, trace=trace)
-        # Zero-valued switched masks are skipped, so <= n externals.
-        assert 0 < trace.external_products <= params.n
-        per_iter_fwd = (params.k + 1) * params.l_b
-        assert trace.forward_transforms == trace.external_products * per_iter_fwd
-        assert trace.inverse_transforms == trace.external_products * (params.k + 1)
-        assert trace.pointwise_mult_polys == (
-            trace.external_products * (params.k + 1) ** 2 * params.l_b
-        )
-        assert trace.ms_operations == params.n + 1
 
     def test_bootstrap_composes(self, ctx):
         """Output of one bootstrap is a valid input to the next."""

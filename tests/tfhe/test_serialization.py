@@ -1,5 +1,7 @@
 """Tests for key/ciphertext serialization."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,27 @@ class TestKeysetRoundtrip:
         stripped = KeySet(ctx.params, None, None, ctx.keyset.bsk, ctx.keyset.ksk)
         with pytest.raises(ValueError):
             save_keyset(tmp_path / "x.npz", stripped)
+
+    @pytest.mark.parametrize(
+        "array", ["bsk_rows", "ksk_masks", "ksk_bodies", "lwe_key", "glwe_key"]
+    )
+    def test_truncated_array_rejected(self, ctx, tmp_path, array):
+        """Every key array is checked against the recorded parameters."""
+        if array in ("lwe_key", "glwe_key"):
+            save, load = save_keyset, load_keyset
+        else:
+            save, load = save_evaluation_keys, load_evaluation_keys
+        path = tmp_path / "keys.npz"
+        save(path, ctx.keyset)
+        with np.load(path, allow_pickle=False) as data:
+            arrays = dict(data)
+        expected = arrays[array].shape
+        arrays[array] = arrays[array][..., :-1]
+        np.savez_compressed(path, **arrays)
+        message = (f"{array!r} has shape {arrays[array].shape}; "
+                   f"the recorded parameters expect {expected}")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load(path)
 
 
 class TestCiphertextRoundtrip:
