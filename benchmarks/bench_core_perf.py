@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.accelerator import MorphlingConfig
 from repro.core.simulator import simulate_bootstrap
-from repro.observability import counting
+from repro import observability as obs
 from repro.params import get_params
 
 _CONFIGS = {
@@ -39,9 +39,9 @@ CANONICAL_PAIRS = [
 def test_core_perf(config_name, param_set, bench_record):
     config = _CONFIGS[config_name]()
     params = get_params(param_set)
-    with counting() as bank:
+    with obs.telemetry():
         report = simulate_bootstrap(config, params)
-        digest = bank.digest()
+        digest = obs.COUNTERS.digest()
 
     assert report.throughput_bs > 0
     assert report.bootstrap_latency_s > 0

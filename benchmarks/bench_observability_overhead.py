@@ -1,15 +1,16 @@
 """Benchmark guard: disabled telemetry must cost < 5% on gate bootstraps.
 
-Every instrumented site guards itself with a single ``registry.enabled``
-(or ``tracer.enabled``) read-and-branch, so with telemetry off the code
-path is the uninstrumented one plus those checks.  This bench verifies
-the guarantee two ways on a gate-bootstrap loop (the hottest functional
-path: ``n`` CMux iterations, each several batched FFTs):
+Telemetry has one switch, ``BUS.enabled``, and every instrumented site
+guards itself with a single read of it and a branch, so with telemetry
+off the code path is the uninstrumented one plus those checks.  This
+bench verifies the guarantee two ways on a gate-bootstrap loop (the
+hottest functional path: ``n`` CMux iterations, each several batched
+FFTs):
 
 1. *Analytic bound*: count the enabled-checks one gate bootstrap actually
-   performs (by swapping in probe registry/tracer classes whose
-   ``enabled`` attribute is a counting property that still reports
-   False), measure the per-check cost in a tight loop, and assert
+   performs (by swapping in a probe bus class whose ``enabled`` attribute
+   is a counting property that still reports False), measure the
+   per-check cost in a tight loop, and assert
    ``checks x cost_per_check < 5%`` of the measured bootstrap time.
 2. *A/B sanity*: time the loop with telemetry disabled vs enabled and
    print both (informational - wall-clock A/B on equal code paths is too
@@ -26,77 +27,19 @@ import numpy as np
 
 from repro import TEST_PARAMS, observability as obs
 from repro.observability.bus import TelemetryBus
-from repro.observability.counters import PerfCounters
-from repro.observability.flightrec import FlightRecorder
-from repro.observability.noise import NoiseTracker
 from repro.observability.registry import MetricsRegistry
-from repro.observability.tracer import Tracer
 from repro.tfhe import TfheContext
 from repro.tfhe.gatebootstrap import encrypt_bool, nand_gate
 
 MAX_DISABLED_OVERHEAD = 0.05
 
 
-class _ProbeRegistry(MetricsRegistry):
-    """Registry whose ``enabled`` read is counted (and always False)."""
-
-    checks = 0
-
-    @property
-    def enabled(self):
-        _ProbeRegistry.checks += 1
-        return False
-
-    @enabled.setter
-    def enabled(self, value):
-        pass
-
-
-class _ProbeTracer(Tracer):
-    checks = 0
-
-    @property
-    def enabled(self):
-        _ProbeTracer.checks += 1
-        return False
-
-    @enabled.setter
-    def enabled(self, value):
-        pass
-
-
-class _ProbeCounters(PerfCounters):
-    """Perf-counter bank whose ``enabled`` read is counted (always False)."""
-
-    checks = 0
-
-    @property
-    def enabled(self):
-        _ProbeCounters.checks += 1
-        return False
-
-    @enabled.setter
-    def enabled(self, value):
-        pass
-
-
-class _ProbeNoise(NoiseTracker):
-    """Noise tracker whose ``enabled`` read is counted (always False)."""
-
-    checks = 0
-
-    @property
-    def enabled(self):
-        _ProbeNoise.checks += 1
-        return False
-
-    @enabled.setter
-    def enabled(self, value):
-        pass
-
-
 class _ProbeBus(TelemetryBus):
-    """Telemetry bus whose ``enabled`` read is counted (always False)."""
+    """Telemetry bus whose ``enabled`` read is counted (always False).
+
+    ``BUS.enabled`` is the one telemetry switch, so its reads are every
+    enabled-check the instrumented code performs.
+    """
 
     checks = 0
 
@@ -110,56 +53,21 @@ class _ProbeBus(TelemetryBus):
         pass
 
 
-class _ProbeFlight(FlightRecorder):
-    """Flight recorder whose ``enabled`` read is counted (always False)."""
-
-    checks = 0
-
-    @property
-    def enabled(self):
-        _ProbeFlight.checks += 1
-        return False
-
-    @enabled.setter
-    def enabled(self, value):
-        pass
-
-
 def _count_enabled_checks(run_once) -> int:
     """How many telemetry enabled-checks one gate bootstrap performs."""
-    _ProbeRegistry.checks = _ProbeTracer.checks = 0
-    _ProbeCounters.checks = _ProbeNoise.checks = 0
-    _ProbeBus.checks = _ProbeFlight.checks = 0
-    obs.REGISTRY.__class__ = _ProbeRegistry
-    obs.TRACER.__class__ = _ProbeTracer
-    obs.COUNTERS.__class__ = _ProbeCounters
-    obs.NOISE.__class__ = _ProbeNoise
+    _ProbeBus.checks = 0
     obs.BUS.__class__ = _ProbeBus
-    obs.FLIGHT.__class__ = _ProbeFlight
     try:
         run_once()
-        return (_ProbeRegistry.checks + _ProbeTracer.checks
-                + _ProbeCounters.checks + _ProbeNoise.checks
-                + _ProbeBus.checks + _ProbeFlight.checks)
+        return _ProbeBus.checks
     finally:
-        obs.REGISTRY.__class__ = MetricsRegistry
-        obs.TRACER.__class__ = Tracer
-        obs.COUNTERS.__class__ = PerfCounters
-        obs.NOISE.__class__ = NoiseTracker
         obs.BUS.__class__ = TelemetryBus
-        obs.FLIGHT.__class__ = FlightRecorder
-        obs.REGISTRY.enabled = False
-        obs.TRACER.enabled = False
-        obs.COUNTERS.enabled = False
-        obs.NOISE.enabled = False
         obs.BUS.enabled = False
-        obs.FLIGHT.enabled = False
 
 
 def _per_check_seconds(iterations: int = 200_000) -> float:
     """Cost of one disabled-counter update (the whole disabled hot path)."""
-    reg = MetricsRegistry(enabled=False)
-    counter = reg.counter("probe_total")
+    counter = MetricsRegistry().counter("probe_total")
     start = time.perf_counter()
     for _ in range(iterations):
         counter.inc()
@@ -271,8 +179,8 @@ def test_disabled_noise_tracker_allocates_nothing_on_gate_path():
 def test_disabled_bus_allocates_nothing_on_gate_and_simulator_paths():
     """With the bus off, neither hot path may allocate in bus.py.
 
-    The publish hooks live inside the four systems' already-enabled
-    paths plus a handful of direct ``if _BUS.enabled`` sites (batched
+    The publish hooks live inside the recorders' already-enabled paths
+    plus a handful of direct ``if _BUS.enabled`` sites (batched
     bootstrap, simulator/scheduler reports) - with telemetry disabled
     none of them may construct an event, take the lock, or touch a
     subscriber tuple.
@@ -301,12 +209,12 @@ def test_disabled_bus_allocates_nothing_on_gate_and_simulator_paths():
 
 
 def test_disabled_flight_recorder_allocates_nothing():
-    """The recorder's subscriber must be a pure read-and-branch when off.
+    """With telemetry off the always-subscribed recorder is never entered.
 
-    The recorder stays subscribed to the bus at all times ("always-on"),
-    so its disabled cost is paid on *every* published event - prove the
-    whole workload run allocates zero blocks in flightrec.py while the
-    recorder is off (bus off too: the common production state).
+    The recorder stays subscribed to the bus at all times ("always-on");
+    the bus calls subscribers only while it is on, so prove the whole
+    workload run allocates zero blocks in flightrec.py with telemetry
+    off (the common production state).
     """
     from repro.core.accelerator import MorphlingConfig
     from repro.core.scheduler import LayerDemand, run_workload
@@ -419,9 +327,9 @@ def test_counter_recording_is_deterministic_across_runs():
     config, params = MorphlingConfig(), get_params("II")
     digests = []
     for _ in range(2):
-        with obs.counting() as bank:
+        with obs.telemetry():
             simulate_bootstrap(config, params)
-            digests.append(bank.digest())
+            digests.append(obs.COUNTERS.digest())
     assert digests[0] == digests[1]
 
 

@@ -29,9 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from .. import observability as obs
 from ..core.accelerator import MorphlingConfig
 from ..core.simulator import SimulationReport, simulate_bootstrap
-from ..observability import counting
 from ..params import TFHEParams
 from .roofline import machine_balance, workload_points
 
@@ -222,11 +222,10 @@ def collect_profile(
 ) -> BootstrapProfile:
     """Profile one steady-state group of ``config`` running ``params``.
 
-    Runs the simulator once under :func:`repro.observability.counting`
-    (the global bank is cleared first and restored to its prior enabled
-    state after), then optionally prices the what-if catalog with the
-    counters *disabled* so the perturbed re-runs cannot contaminate the
-    baseline's counter digest.
+    Runs the simulator once under :func:`repro.observability.telemetry`
+    (every recorder is cleared first and the switch restored after), then
+    optionally prices the what-if catalog outside that block so the
+    perturbed re-runs cannot contaminate the baseline's counter digest.
     """
     if config is None:
         config = MorphlingConfig()
@@ -235,10 +234,10 @@ def collect_profile(
 
         params = get_params("I")
 
-    with counting() as bank:
+    with obs.telemetry():
         report = simulate_bootstrap(config, params)
-        snapshot = bank.snapshot()
-        digest = bank.digest()
+        snapshot = obs.COUNTERS.snapshot()
+        digest = obs.COUNTERS.digest()
 
     times = report.resource_times()
     group_time = report.group_time_s

@@ -507,9 +507,9 @@ def _cmd_trace(args) -> int:
             from .core.simulator import simulate_bootstrap
             from .observability import counter_track_events, merged_trace_events
 
-            with obs.counting() as bank:
+            with obs.telemetry():
                 simulate_bootstrap(config, params)
-                counter_events = counter_track_events(bank)
+                counter_events = counter_track_events(obs.COUNTERS)
             events = merged_trace_events(
                 {"pipeline": events, "counters": counter_events}
             )
@@ -531,9 +531,7 @@ def _cmd_metrics(args) -> int:
 
     config = _config_from_args(args)
     params = get_params(args.param_set)
-    obs.reset()
-    obs.enable()
-    try:
+    with obs.telemetry():
         simulate_bootstrap(config, params)
         if args.functional:
             from .tfhe.ops import TfheContext
@@ -542,8 +540,6 @@ def _cmd_metrics(args) -> int:
             ctx.bootstrap(ctx.encrypt(1))
         snapshot = obs.REGISTRY.snapshot()
         spans = obs.TRACER.spans()
-    finally:
-        obs.disable()
     if args.chrome:
         obs.write_chrome_trace(
             args.chrome, obs.chrome_trace_events(spans),
@@ -575,9 +571,9 @@ def _cmd_profile(args) -> int:
         from . import observability as obs
         from .core.simulator import simulate_bootstrap
 
-        with obs.counting() as bank:
+        with obs.telemetry():
             simulate_bootstrap(config, params)
-            events = obs.counter_track_events(bank)
+            events = obs.counter_track_events(obs.COUNTERS)
         obs.write_chrome_trace(
             args.chrome, events,
             metadata={"param_set": params.name, "config": config.name,
@@ -780,7 +776,6 @@ def _cmd_slo(args) -> int:
     from .analysis.failprob import estimate_app_failure
     from .core.accelerator import MorphlingConfig
     from .core.scheduler import run_workload
-    from .observability.flightrec import flight_recording
     from .observability.slo import SLOMonitor
 
     workload = _make_workload(args.workload)
@@ -792,7 +787,7 @@ def _cmd_slo(args) -> int:
     slos = workload.slos(reference, params, slack=args.slack)
     failure = estimate_app_failure(params, workload.total_bootstraps)
     monitor = SLOMonitor(slos)
-    with obs.telemetry(), flight_recording(dump_dir=args.dump):
+    with obs.flight_recording(dump_dir=args.dump):
         monitor.attach()
         try:
             workload.announce()
@@ -818,14 +813,12 @@ def _cmd_record(args) -> int:
     from .core.accelerator import MorphlingConfig
     from .core.scheduler import run_workload
     from .observability.bus import JsonlEventLog
-    from .observability.flightrec import flight_recording
 
     workload = _make_workload(args.workload)
     params = get_params(args.param_set)
     log = None
-    # Full telemetry (registry/tracer/counters/noise) so the bundle holds
-    # spans and counter samples, then the recorder armed on top of it.
-    with obs.telemetry(), flight_recording(window_s=args.window) as rec:
+    # Full telemetry, so the bundle holds spans and counter samples.
+    with obs.flight_recording(window_s=args.window) as rec:
         if args.jsonl:
             log = JsonlEventLog(args.jsonl)
         try:

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..observability import COUNTERS as _COUNTERS
+from ..observability import BUS as _BUS, COUNTERS as _COUNTERS
 from ..params import TFHEParams
 from ..tfhe.polynomial import monomial_mul
 from .accelerator import MorphlingConfig
@@ -160,7 +160,7 @@ class DoublePointerRotator:
             la, lb = self.read_vector(c, rotation)
             a[c * self.vector_width : (c + 1) * self.vector_width] = la
             b[c * self.vector_width : (c + 1) * self.vector_width] = lb
-        if _COUNTERS.enabled:
+        if _BUS.enabled:
             _COUNTERS.add_ops("rotator/streams")
             _COUNTERS.add_ops("rotator/vector_reads", chunks)
         return a, b

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..observability import COUNTERS as _COUNTERS, REGISTRY as _METRICS
+from ..observability import BUS as _BUS, COUNTERS as _COUNTERS, REGISTRY as _METRICS
 from ..params import TFHEParams
 from .accelerator import MorphlingConfig
 
@@ -80,19 +80,17 @@ class HbmModel:
 
     def xpu_transfer_seconds(self, data_bytes: float) -> float:
         """Seconds to move ``data_bytes`` over the XPU channel group."""
-        if _METRICS.enabled:
+        if _BUS.enabled:
             _HBM_BYTES.inc(data_bytes, channel="xpu")
             _HBM_TRANSFERS.inc(channel="xpu")
-        if _COUNTERS.enabled:
             self._count_channel_bytes(data_bytes, group="xpu")
         return data_bytes / (self.config.xpu_bandwidth_gbs * 1e9)
 
     def vpu_transfer_seconds(self, data_bytes: float) -> float:
         """Seconds to move ``data_bytes`` over the VPU channel group."""
-        if _METRICS.enabled:
+        if _BUS.enabled:
             _HBM_BYTES.inc(data_bytes, channel="vpu")
             _HBM_TRANSFERS.inc(channel="vpu")
-        if _COUNTERS.enabled:
             self._count_channel_bytes(data_bytes, group="vpu")
         return data_bytes / (self.config.vpu_bandwidth_gbs * 1e9)
 

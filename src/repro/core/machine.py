@@ -117,32 +117,31 @@ class MorphlingMachine:
         The batch advances stage by stage (all ciphertexts modulus-switch
         before any blind rotation starts, and so on), which is the order
         the SW-scheduler lowers one group in and the order the static
-        verifier's VER005 stage model legalises.  With the perf counters
-        enabled each stage boundary emits an ordered event on the
+        verifier's VER005 stage model legalises.  With telemetry on each
+        stage boundary emits an ordered event on the
         ``machine/stages`` track, named by the ISA op it corresponds to,
         so a functional run can be cross-checked against that model.
         """
         params = self.params
-        counting = _COUNTERS.enabled
-        if counting:
+        recording = _BUS.enabled
+        if recording:
             _COUNTERS.event("machine/stages", "modulus_switch")
         switched = [modulus_switch(ct, params.N) for ct in cts]
-        if counting:
+        if recording:
             _COUNTERS.add_ops("machine/modulus_switches", len(cts))
             _COUNTERS.event("machine/stages", "blind_rotate")
         accs = self.blind_rotate_batch(switched, test_poly)
-        if counting:
+        if recording:
             _COUNTERS.add_ops("machine/blind_rotations", len(accs))
             _COUNTERS.event("machine/stages", "sample_extract")
         ext_a, ext_b = sample_extract_batch(np.stack([acc.data for acc in accs]))
-        if counting:
+        if recording:
             _COUNTERS.add_ops("machine/sample_extracts", len(accs))
             _COUNTERS.event("machine/stages", "key_switch")
         out_a, out_b = key_switch_batch(ext_a, ext_b, self.keyset.ksk)
         out = [LweCiphertext(out_a[r], out_b[r]) for r in range(len(accs))]
-        if counting:
+        if recording:
             _COUNTERS.add_ops("machine/key_switches", len(out))
-        if _BUS.enabled:
             # True batch occupancy: ciphertexts dispatched vs. VPE rows
             # available — the live dashboard's occupancy bar.
             _BUS.publish("batch", "machine/bootstrap_batch",

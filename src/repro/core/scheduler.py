@@ -303,15 +303,16 @@ class HwScheduler:
         used_slots = 0
         spans = [] if record_spans else None
         clock_hz = self.config.clock_ghz * 1e9
+        recording = _BUS.enabled
         # Shared-buffer pressure: (time, byte delta) pairs collected while
         # scheduling, replayed in time order afterwards into one sampled
         # perf-counter track.  BR results land in Shared when the XPU
         # instruction finishes and leave when SE drains them.
-        pressure = [] if _COUNTERS.enabled else None
+        pressure = [] if recording else None
         # Request-latency samples: each group's STORE_LWE retire time is
         # the completion time of its `count` requests (since t=0), the
         # population the SLO monitor prices p50/p95/p99 over.
-        requests = [] if (_BUS.enabled or _METRICS.enabled) else None
+        requests = [] if recording else None
         for inst in stream:
             duration = self._duration(inst)
             if inst.op is XpuOp.BLIND_ROTATE:
@@ -330,15 +331,13 @@ class HwScheduler:
                 requests.append((end, inst.count, inst.group))
             if spans is not None:
                 spans.append((key, inst.op.value, inst.group, start, end))
-            if _METRICS.enabled:
+            if pressure is not None:
                 _SCHED_INSTRUCTIONS.inc(op=inst.op.value)
-            if _TRACER.enabled:
                 _TRACER.add_span(
                     inst.op.value, ts_us=start * 1e6, dur_us=duration * 1e6,
                     category="schedule", track=f"hw/{key}",
                     args={"group": inst.group, "count": inst.count},
                 )
-            if pressure is not None:
                 _COUNTERS.add_cycles(f"sched/engine/{key}", duration * clock_hz)
                 if inst.op is XpuOp.BLIND_ROTATE:
                     waves = -(-inst.count // self.config.bootstrap_cores)
@@ -385,10 +384,9 @@ class HwScheduler:
         if requests:
             for end, count, group in requests:
                 _SCHED_REQUEST_LATENCY.observe(end, count=count)
-                if _BUS.enabled:
-                    _BUS.publish("request", "sched/request", value=end,
-                                 count=count, group=group)
-        if _BUS.enabled:
+                _BUS.publish("request", "sched/request", value=end,
+                             count=count, group=group)
+        if recording:
             _BUS.publish("snapshot", "sched/result", value=total,
                          instructions=result.instructions,
                          groups=result.groups, padding_waste=waste,

@@ -215,7 +215,7 @@ class MorphlingSimulator:
         group_time = times[bottleneck]
         throughput = group_size / group_time
 
-        if _METRICS.enabled:
+        if _BUS.enabled:
             _SIM_RUNS.inc(params=p.name)
             _SIM_GROUPS.inc()
             _SIM_BOOTSTRAPS.inc(group_size)
@@ -225,7 +225,6 @@ class MorphlingSimulator:
             counts = transforms_per_bootstrap(p, cfg.reuse)
             _SIM_TRANSFORMS.inc(counts.forward * group_size, direction="forward")
             _SIM_TRANSFORMS.inc(counts.inverse * group_size, direction="inverse")
-        if _TRACER.enabled:
             # One steady-state group, resources overlapped from t=0: the
             # slowest row is the group time the throughput is quoted at.
             for resource, seconds in times.items():
@@ -235,7 +234,6 @@ class MorphlingSimulator:
                     args={"group_size": group_size,
                           "bottleneck": resource == bottleneck},
                 )
-        if _COUNTERS.enabled:
             # The simulator *executes* one steady-state group: account the
             # scheduled work (every XPU runs `streams` blind rotations,
             # the VPU post-processes the whole group) and sample the
@@ -278,12 +276,11 @@ class MorphlingSimulator:
             + ksk_tail
         )
 
-        if _METRICS.enabled:
+        if _BUS.enabled:
             # Every request in the modelled group experiences the same
             # bootstrap latency: one count-weighted sample per run.
             _SIM_BOOTSTRAP_LATENCY.observe(latency, count=group_size,
                                            config=cfg.name, params=p.name)
-        if _BUS.enabled:
             _BUS.publish("request", "sim/bootstrap", value=latency,
                          count=group_size, config=cfg.name, params=p.name)
             _BUS.publish("snapshot", "sim/report", value=throughput,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..observability import COUNTERS as _COUNTERS
+from ..observability import BUS as _BUS, COUNTERS as _COUNTERS
 from ..params import TFHEParams
 from .accelerator import MorphlingConfig
 
@@ -71,7 +71,7 @@ class VpuModel:
         steady-state group, the HW-scheduler per instruction) so model
         evaluations are never confused with scheduled cycles.
         """
-        if not _COUNTERS.enabled:
+        if not _BUS.enabled:
             return
         for stage, cycles in self.stage_cycles().stage_cycle_map().items():
             _COUNTERS.add_cycles(f"vpu/stage/{stage}", batch * cycles)

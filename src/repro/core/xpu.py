@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..observability import COUNTERS as _COUNTERS
+from ..observability import BUS as _BUS, COUNTERS as _COUNTERS
 from ..params import TFHEParams
 from ..transforms.pipeline_model import PipelinedFFTModel
 from .accelerator import MorphlingConfig
@@ -190,7 +190,7 @@ class XpuModel:
         instruction) calls this, so model evaluations never inflate the
         counters.
         """
-        if not _COUNTERS.enabled or count <= 0:
+        if not _BUS.enabled or count <= 0:
             return
         bd = self.iteration_breakdown()
         fill = self.fft.fill_latency + self.ifft.fill_latency

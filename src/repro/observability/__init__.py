@@ -15,9 +15,11 @@ process-wide singletons are
   :class:`~repro.observability.flightrec.FlightRecorder` that dumps the
   recent event window to a JSON bundle when an anomaly trigger fires.
 
-Telemetry is **off by default**: every instrumented site guards itself
-with one ``enabled`` check, so the uninstrumented code path is restored
-when disabled (see ``benchmarks/bench_observability_overhead.py``).
+Telemetry is **off by default** and has one switch, ``BUS.enabled``:
+every recorder above records exactly while it is on, and every
+instrumented site guards itself with one read of it, so the
+uninstrumented code path is restored when off (see
+``benchmarks/bench_observability_overhead.py``).
 Turn it on around a region of interest::
 
     from repro import observability as obs
@@ -34,6 +36,7 @@ trace-event file that opens in Perfetto (see ``docs/observability.md``).
 from __future__ import annotations
 
 from contextlib import contextmanager
+from typing import Iterator, Tuple
 
 from .bus import (
     BUS,
@@ -56,7 +59,7 @@ from .context import (
     start_trace,
     use_context,
 )
-from .counters import COUNTERS, PerfCounters, counting
+from .counters import COUNTERS, PerfCounters
 from .dashboard import Dashboard, run_top
 from .distrib import (
     FLEET_SCHEMA_VERSION,
@@ -142,7 +145,6 @@ __all__ = [
     "Span",
     "traced",
     "PerfCounters",
-    "counting",
     "NoiseTracker",
     "NoiseRecord",
     "FailurePoint",
@@ -195,37 +197,25 @@ __all__ = [
     "write_chrome_trace",
 ]
 
-#: Process-wide metrics registry (disabled until :func:`enable`).
+#: Process-wide metrics registry (records while telemetry is on).
 REGISTRY = MetricsRegistry()
 
-#: Process-wide span tracer (disabled until :func:`enable`).
+#: Process-wide span tracer (records while telemetry is on).
 TRACER = Tracer()
 
 
 def enable() -> None:
-    """Switch every telemetry system on (registry, tracer, counters,
-    noise tracker, bus and flight recorder)."""
-    REGISTRY.enable()
-    TRACER.enable()
-    COUNTERS.enable()
-    NOISE.enable()
+    """Switch telemetry on: every recorder records, the bus publishes."""
     BUS.enable()
-    FLIGHT.enable()
 
 
 def disable() -> None:
-    """Switch every telemetry system off."""
-    REGISTRY.disable()
-    TRACER.disable()
-    COUNTERS.disable()
-    NOISE.disable()
+    """Switch telemetry off."""
     BUS.disable()
-    FLIGHT.disable()
 
 
 def is_enabled() -> bool:
-    return (REGISTRY.enabled or TRACER.enabled or COUNTERS.enabled
-            or NOISE.enabled or BUS.enabled or FLIGHT.enabled)
+    return BUS.enabled
 
 
 def reset() -> None:
@@ -240,19 +230,16 @@ def reset() -> None:
 
 
 @contextmanager
-def telemetry(clear: bool = True):
-    """Enable telemetry for a ``with`` block, restoring the prior state.
+def telemetry() -> Iterator[Tuple[MetricsRegistry, Tracer]]:
+    """Switch telemetry on for a ``with`` block, restoring the prior state.
 
-    With ``clear`` (the default) every system is reset on entry so the
-    block observes only its own activity.
+    Every recorder is reset on entry, so the block observes only its own
+    activity.
     """
-    prior = (REGISTRY.enabled, TRACER.enabled, COUNTERS.enabled,
-             NOISE.enabled, BUS.enabled, FLIGHT.enabled)
-    if clear:
-        reset()
+    prior = BUS.enabled
+    reset()
     enable()
     try:
         yield REGISTRY, TRACER
     finally:
-        (REGISTRY.enabled, TRACER.enabled, COUNTERS.enabled,
-         NOISE.enabled, BUS.enabled, FLIGHT.enabled) = prior
+        BUS.enabled = prior

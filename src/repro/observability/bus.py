@@ -28,9 +28,11 @@ distributed identity stamped since schema v2 (``worker`` and the
   dashboard (:mod:`repro.observability.dashboard`), and the
   :class:`JsonlEventLog` structured log writer.
 
-Discipline matches the rest of the package: one process-wide singleton
-(:data:`BUS`), off by default, and the disabled path is a single
-``enabled`` read-and-branch with **zero allocation**
+:data:`BUS` is the one process-wide singleton, off by default, and its
+``enabled`` flag is the package's only on/off switch: the registry,
+tracer, perf counters, noise tracker and flight recorder all record
+exactly while it is on.  The disabled path is a single ``enabled``
+read-and-branch with **zero allocation**
 (``benchmarks/bench_observability_overhead.py`` proves it with a
 ``tracemalloc`` guard).  Publishing happens synchronously on the caller's
 thread; subscriber lists are copy-on-write tuples so ``publish`` never

@@ -23,8 +23,9 @@ dynamic execution can be checked against the static stage-order model
 (verifier pass VER005).
 
 Discipline is identical to the registry: one process-wide singleton
-(:data:`COUNTERS`), off by default, every recording call is a single
-``enabled`` read-and-branch when disabled, and nothing is allocated on
+(:data:`COUNTERS`) that records only while telemetry is on, every
+recording call is a single read of the telemetry switch
+(``BUS.enabled``) and a branch when off, and nothing is allocated on
 the disabled path (``benchmarks/bench_observability_overhead.py`` holds
 the models to that with a ``tracemalloc`` guard).  Snapshots are plain
 dicts with deterministically sorted keys; :meth:`PerfCounters.digest`
@@ -38,24 +39,22 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .bus import BUS as _BUS
 
-__all__ = ["PerfCounters", "COUNTERS", "counting"]
+__all__ = ["PerfCounters", "COUNTERS"]
 
 
 class PerfCounters:
     """Bank of modelled hardware performance counters.
 
-    All mutating methods are no-ops while ``enabled`` is False; reads
-    work regardless.  Recording is thread-safe (one lock, coarse -
+    All mutating methods are no-ops while telemetry is off; reads work
+    regardless.  Recording is thread-safe (one lock, coarse -
     counter updates are far off the contended path).
     """
 
-    def __init__(self, enabled: bool = False):
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._cycles: Dict[str, float] = {}
         self._bytes: Dict[str, float] = {}
@@ -64,14 +63,8 @@ class PerfCounters:
         self._events: List[Tuple[str, str]] = []
 
     # -- lifecycle ------------------------------------------------------
-    def enable(self) -> None:
-        self.enabled = True
-
-    def disable(self) -> None:
-        self.enabled = False
-
     def reset(self) -> None:
-        """Clear every recorded value (the enabled flag is untouched)."""
+        """Clear every recorded value."""
         with self._lock:
             self._cycles.clear()
             self._bytes.clear()
@@ -82,54 +75,49 @@ class PerfCounters:
     # -- recording ------------------------------------------------------
     def add_cycles(self, resource: str, cycles: float) -> None:
         """Accumulate busy cycles on ``resource``."""
-        if not self.enabled:
+        if not _BUS.enabled:
             return
         if cycles < 0:
             raise ValueError(f"cycle counter {resource} cannot decrease")
         with self._lock:
             self._cycles[resource] = self._cycles.get(resource, 0.0) + cycles
-        if _BUS.enabled:
-            _BUS.publish("counter", resource, value=cycles, unit="cycles")
+        _BUS.publish("counter", resource, value=cycles, unit="cycles")
 
     def add_bytes(self, channel: str, nbytes: float) -> None:
         """Accumulate bytes moved over ``channel``."""
-        if not self.enabled:
+        if not _BUS.enabled:
             return
         if nbytes < 0:
             raise ValueError(f"byte counter {channel} cannot decrease")
         with self._lock:
             self._bytes[channel] = self._bytes.get(channel, 0.0) + nbytes
-        if _BUS.enabled:
-            _BUS.publish("counter", channel, value=nbytes, unit="bytes")
+        _BUS.publish("counter", channel, value=nbytes, unit="bytes")
 
     def add_ops(self, name: str, count: float = 1.0) -> None:
         """Accumulate ``count`` operations on counter ``name``."""
-        if not self.enabled:
+        if not _BUS.enabled:
             return
         if count < 0:
             raise ValueError(f"op counter {name} cannot decrease")
         with self._lock:
             self._ops[name] = self._ops.get(name, 0.0) + count
-        if _BUS.enabled:
-            _BUS.publish("counter", name, value=count, unit="ops")
+        _BUS.publish("counter", name, value=count, unit="ops")
 
     def sample(self, track: str, t_s: float, value: float) -> None:
         """Record one time-resolved sample: ``value`` at simulated ``t_s``."""
-        if not self.enabled:
+        if not _BUS.enabled:
             return
         with self._lock:
             self._samples.setdefault(track, []).append((float(t_s), float(value)))
-        if _BUS.enabled:
-            _BUS.publish("sample", track, value=value, t_sim_s=float(t_s))
+        _BUS.publish("sample", track, value=value, t_sim_s=float(t_s))
 
     def event(self, track: str, name: str) -> None:
         """Record one ordered discrete event on ``track``."""
-        if not self.enabled:
+        if not _BUS.enabled:
             return
         with self._lock:
             self._events.append((track, name))
-        if _BUS.enabled:
-            _BUS.publish("stage", name, track=track)
+        _BUS.publish("stage", name, track=track)
 
     # -- reads ----------------------------------------------------------
     def cycles(self, resource: str) -> float:
@@ -201,27 +189,5 @@ class PerfCounters:
                     + len(self._samples) + (1 if self._events else 0))
 
 
-#: Process-wide perf-counter bank (disabled until enabled explicitly or
-#: via :func:`repro.observability.enable` / :func:`counting`).
+#: Process-wide perf-counter bank (records while telemetry is on).
 COUNTERS = PerfCounters()
-
-
-@contextmanager
-def counting(clear: bool = True,
-             counters: Optional[PerfCounters] = None) -> Iterator[PerfCounters]:
-    """Enable just the perf counters for a ``with`` block.
-
-    Unlike :func:`repro.observability.telemetry` this leaves the metrics
-    registry and tracer alone - the profiler uses it to collect counter
-    snapshots without paying for span buffers.  With ``clear`` (default)
-    the bank is reset on entry so the block observes only itself.
-    """
-    bank = counters if counters is not None else COUNTERS
-    prior = bank.enabled
-    if clear:
-        bank.reset()
-    bank.enable()
-    try:
-        yield bank
-    finally:
-        bank.enabled = prior

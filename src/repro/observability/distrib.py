@@ -257,17 +257,22 @@ def worker_telemetry(
 ) -> Iterator[ShardWriter]:
     """Worker-side telemetry lifecycle, as a ``with`` block.
 
-    Resets every singleton (so nothing inherited from the parent leaks
-    into the shard), names the process ``worker_id``, enables telemetry,
-    opens the shard with heartbeats running, and - when ``carrier`` is
-    given - enters the extracted trace context so every span and event
-    the worker produces parents to the driver's submitting span.  On
-    exit the shard is closed cleanly (final heartbeat) and telemetry is
-    disabled again.
+    Names the process ``worker_id``, switches telemetry on, opens the
+    shard with heartbeats running, and - when ``carrier`` is given -
+    enters the extracted trace context so every span and event the
+    worker produces parents to the driver's submitting span.  When
+    telemetry was off on entry every recorder is reset first (so nothing
+    inherited from the parent leaks into the shard); when it was on, the
+    caller's recordings are left alone.  On exit the shard is closed
+    cleanly (final heartbeat) and the switch and worker id are restored
+    to their values on entry.
     """
     import repro.observability as obs
 
-    obs.reset()
+    was_enabled = obs.is_enabled()
+    prior_worker = _context.get_worker_id()
+    if not was_enabled:
+        obs.reset()
     _context.set_worker_id(worker_id)
     obs.enable()
     writer = ShardWriter(shard_dir, worker_id=worker_id,
@@ -283,8 +288,8 @@ def worker_telemetry(
         if token is not None:
             _context.deactivate(token)
         writer.close()
-        obs.disable()
-        _context.set_worker_id("")
+        obs.BUS.enabled = was_enabled
+        _context.set_worker_id(prior_worker)
 
 
 # ---------------------------------------------------------------------------

@@ -33,9 +33,10 @@ anomaly itself inside its own bundle.  Consecutive triggers within
 ``cooldown_s`` are coalesced into the first dump so a drifting op class
 cannot flood the disk.
 
-Discipline matches the bus: one process-wide singleton (:data:`FLIGHT`),
-off by default, and the disabled subscriber is a single ``enabled``
-read-and-branch with zero allocation (held to it by
+Discipline matches the bus: one process-wide singleton (:data:`FLIGHT`)
+that records only while telemetry is on.  The bus calls subscribers only
+while it is enabled, so with telemetry off the recorder is never entered
+and allocates nothing (held to it by
 ``benchmarks/bench_observability_overhead.py``).
 """
 
@@ -45,7 +46,8 @@ import collections
 import json
 import os
 import threading
-from typing import Any, Deque, Dict, List, Optional
+from contextlib import contextmanager
+from typing import Any, Deque, Dict, Iterator, Optional
 
 from .bus import BUS, EVENT_SCHEMA_VERSION, TelemetryBus, TelemetryEvent, event_to_jsonable
 
@@ -84,11 +86,9 @@ class FlightRecorder:
         drift_sigmas: float = DEFAULT_DRIFT_SIGMAS,
         cooldown_s: float = 1.0,
         dump_dir: Optional[str] = None,
-        enabled: bool = False,
     ):
         if capacity < 1:
             raise ValueError("flight recorder needs capacity >= 1")
-        self.enabled = enabled
         self.capacity = capacity
         self.window_s = window_s
         self.drift_sigmas = drift_sigmas
@@ -105,12 +105,6 @@ class FlightRecorder:
         self._bus: TelemetryBus = BUS
 
     # -- lifecycle ------------------------------------------------------
-    def enable(self) -> None:
-        self.enabled = True
-
-    def disable(self) -> None:
-        self.enabled = False
-
     def reset(self) -> None:
         """Drop every buffered event and forget the last dump."""
         with self._lock:
@@ -136,8 +130,6 @@ class FlightRecorder:
     # -- recording ------------------------------------------------------
     def _on_event(self, event: TelemetryEvent) -> None:
         """Bus subscriber: O(1) ring append + inline drift detection."""
-        if not self.enabled:
-            return
         self._ring.append(event)
         if event.kind == "noise":
             sigma = event.fields.get("sigma")
@@ -151,11 +143,11 @@ class FlightRecorder:
     def trigger(self, reason: str, **fields: Any) -> Optional[Dict[str, Any]]:
         """Fire an anomaly: publish it, freeze the window, maybe dump.
 
-        Returns the bundle, or None when the recorder is disabled or the
+        Returns the bundle, or None when the recorder's bus is off or the
         trigger landed inside the cooldown window of the previous one
         (coalesced - the earlier dump already covers it).
         """
-        if not self.enabled:
+        if not self._bus.enabled:
             return None
         self.triggers_fired += 1
         now = self._bus.now()
@@ -214,7 +206,7 @@ class FlightRecorder:
 
     # -- explicit capture -------------------------------------------------
     def capture(self, reason: str = "manual", **fields: Any) -> Dict[str, Any]:
-        """Post-mortem bundle of whatever the ring holds, enabled or not.
+        """Post-mortem bundle of whatever the ring holds, telemetry on or off.
 
         Unlike :meth:`trigger` this never publishes, never dumps and
         ignores the cooldown - it is the read-side API ``repro record``
@@ -230,8 +222,8 @@ class FlightRecorder:
         return bundle
 
 
-#: Process-wide flight recorder, subscribed to :data:`BUS` at import and
-#: disabled until :func:`repro.observability.enable`.
+#: Process-wide flight recorder, subscribed to :data:`BUS` at import; it
+#: records whenever telemetry is on.
 FLIGHT = FlightRecorder()
 FLIGHT.attach(BUS)
 
@@ -240,15 +232,10 @@ def report_anomaly(reason: str, **fields: Any) -> Optional[Dict[str, Any]]:
     """Report an anomaly from anywhere: dashboard sees it, recorder dumps.
 
     Safe to call unconditionally on cold paths (exception handlers,
-    budget checks): with the recorder enabled it routes through
-    :meth:`FlightRecorder.trigger`; with only the bus enabled it still
-    publishes the ``"anomaly"`` event; fully disabled it is a no-op.
+    budget checks): with telemetry on it routes through
+    :meth:`FlightRecorder.trigger`; with telemetry off it is a no-op.
     """
-    if FLIGHT.enabled:
-        return FLIGHT.trigger(reason, **fields)
-    if BUS.enabled:
-        BUS.publish("anomaly", reason, **fields)
-    return None
+    return FLIGHT.trigger(reason, **fields)
 
 
 def load_bundle(path: str) -> Dict[str, Any]:
@@ -265,37 +252,28 @@ def load_bundle(path: str) -> Dict[str, Any]:
     return bundle
 
 
-class flight_recording:
-    """Context manager enabling bus + recorder for a block.
+@contextmanager
+def flight_recording(dump_dir: Optional[str] = None,
+                     window_s: Optional[float] = None) -> Iterator[FlightRecorder]:
+    """Switch telemetry on for a block, as
+    :func:`repro.observability.telemetry` does, and yield :data:`FLIGHT`.
 
-    ::
+    ``dump_dir`` and ``window_s`` override the recorder's settings for the
+    block only::
 
         with flight_recording(dump_dir="dumps") as rec:
             run_workload(...)        # anomalies dump automatically
         bundle = rec.capture()       # or capture explicitly at the end
     """
+    from . import telemetry
 
-    def __init__(self, dump_dir: Optional[str] = None,
-                 window_s: Optional[float] = None, clear: bool = True):
-        self._dump_dir = dump_dir
-        self._window_s = window_s
-        self._clear = clear
-        self._prior: Optional[tuple] = None
-
-    def __enter__(self) -> FlightRecorder:
-        self._prior = (BUS.enabled, FLIGHT.enabled, FLIGHT.dump_dir,
-                       FLIGHT.window_s)
-        if self._clear:
-            BUS.reset()
-            FLIGHT.reset()
-        if self._dump_dir is not None:
-            FLIGHT.dump_dir = self._dump_dir
-        if self._window_s is not None:
-            FLIGHT.window_s = self._window_s
-        BUS.enable()
-        FLIGHT.enable()
-        return FLIGHT
-
-    def __exit__(self, *exc: Any) -> None:
-        assert self._prior is not None
-        BUS.enabled, FLIGHT.enabled, FLIGHT.dump_dir, FLIGHT.window_s = self._prior
+    prior = (FLIGHT.dump_dir, FLIGHT.window_s)
+    if dump_dir is not None:
+        FLIGHT.dump_dir = dump_dir
+    if window_s is not None:
+        FLIGHT.window_s = window_s
+    try:
+        with telemetry():
+            yield FLIGHT
+    finally:
+        FLIGHT.dump_dir, FLIGHT.window_s = prior

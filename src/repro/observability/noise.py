@@ -24,8 +24,9 @@ miscalibration or an implementation bug) and the raw **failure points**
 probability.
 
 Discipline is identical to the counters: one process-wide singleton
-(:data:`NOISE`), off by default, every instrumented site is a single
-``enabled`` read-and-branch when disabled, and nothing is allocated on
+(:data:`NOISE`) that records only while telemetry is on, every
+instrumented site is a single read of the telemetry switch
+(``BUS.enabled``) and a branch when off, and nothing is allocated on
 the disabled path (``benchmarks/bench_observability_overhead.py`` holds
 the tfhe layer to that with a ``tracemalloc`` guard).
 """
@@ -161,7 +162,7 @@ class OpClassDrift:
 class NoiseTracker:
     """Per-ciphertext noise provenance with optional debug-key measurement.
 
-    All mutating methods are no-ops while ``enabled`` is False.  The
+    All mutating methods are no-ops while telemetry is off.  The
     tracker never imports the tfhe layer at module scope; instrumented
     sites compute predicted variances themselves and measurement lazily
     imports the phase decryptor only when a debug key is registered.
@@ -170,8 +171,7 @@ class NoiseTracker:
     #: Attribute name used to attach provenance to ciphertext objects.
     ATTR = "_noise_record"
 
-    def __init__(self, enabled: bool = False):
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._records: List[NoiseRecord] = []
         self._failure_points: List[FailurePoint] = []
@@ -180,14 +180,8 @@ class NoiseTracker:
         self._next_id = 0
 
     # -- lifecycle ------------------------------------------------------
-    def enable(self) -> None:
-        self.enabled = True
-
-    def disable(self) -> None:
-        self.enabled = False
-
     def reset(self) -> None:
-        """Drop every record and failure point (key and flag untouched)."""
+        """Drop every record and failure point (the debug key stays)."""
         with self._lock:
             self._records.clear()
             self._failure_points.clear()
@@ -215,7 +209,7 @@ class NoiseTracker:
     @contextmanager
     def labelled(self, label: str) -> Iterator[None]:
         """Tag every record produced inside the block with ``label``."""
-        if not self.enabled:
+        if not _BUS.enabled:
             yield
             return
         with self._lock:
@@ -246,7 +240,7 @@ class NoiseTracker:
         become the provenance edges).  Returns the record, or None when
         disabled.
         """
-        if not self.enabled:
+        if not _BUS.enabled:
             return None
         parent_ids = tuple(
             r.op_id for r in (self.record_of(p) for p in parents) if r is not None
@@ -270,13 +264,12 @@ class NoiseTracker:
         except AttributeError:
             pass  # slotted/foreign objects simply stay untracked downstream
         self._export(record)
-        if _BUS.enabled:
-            _BUS.publish(
-                "noise", record.op, value=record.predicted_std_log2,
-                op_id=record.op_id, label=record.label,
-                predicted_std_log2=record.predicted_std_log2,
-                measured=record.measured, sigma=record.sigma,
-            )
+        _BUS.publish(
+            "noise", record.op, value=record.predicted_std_log2,
+            op_id=record.op_id, label=record.label,
+            predicted_std_log2=record.predicted_std_log2,
+            measured=record.measured, sigma=record.sigma,
+        )
         return record
 
     def track_linear(
@@ -293,7 +286,7 @@ class NoiseTracker:
         any operand carries no record the output stays untracked -
         provenance would be a guess.
         """
-        if not self.enabled:
+        if not _BUS.enabled:
             return None
         merged: Dict[int, Tuple[Any, int]] = {}
         for weight, ct in terms:
@@ -319,7 +312,7 @@ class NoiseTracker:
         op_id: Optional[int] = None,
     ) -> None:
         """Record one decision whose Gaussian tail can fail the workload."""
-        if not self.enabled:
+        if not _BUS.enabled:
             return
         with self._lock:
             point = FailurePoint(
@@ -330,10 +323,9 @@ class NoiseTracker:
                 label=self._current_label(),
             )
             self._failure_points.append(point)
-        if _BUS.enabled:
-            _BUS.publish("failure_point", point.kind, value=point.margin,
-                         op_id=point.op_id, variance=point.variance,
-                         label=point.label)
+        _BUS.publish("failure_point", point.kind, value=point.margin,
+                     op_id=point.op_id, variance=point.variance,
+                     label=point.label)
 
     # -- measurement ----------------------------------------------------
     def _measure(self, ct: Any, expected: int) -> Optional[float]:
@@ -355,34 +347,35 @@ class NoiseTracker:
         return diff / _Q
 
     def _export(self, record: NoiseRecord) -> None:
-        """Mirror one record into the registry quantiles and the tracer."""
+        """Mirror one record into the registry quantiles and the tracer.
+
+        Called only from :meth:`track`, after its telemetry check.
+        """
         from . import REGISTRY, TRACER
 
-        if REGISTRY.enabled:
-            predicted = REGISTRY.quantile(
-                "tfhe_noise_predicted_std",
-                "Predicted per-op noise stddev (torus units), by op",
+        predicted = REGISTRY.quantile(
+            "tfhe_noise_predicted_std",
+            "Predicted per-op noise stddev (torus units), by op",
+        )
+        predicted.observe(record.predicted_std, op=record.op)
+        if record.measured is not None:
+            measured = REGISTRY.quantile(
+                "tfhe_noise_measured_abs",
+                "Measured |centered phase error| (torus units), by op",
             )
-            predicted.observe(record.predicted_std, op=record.op)
-            if record.measured is not None:
-                measured = REGISTRY.quantile(
-                    "tfhe_noise_measured_abs",
-                    "Measured |centered phase error| (torus units), by op",
-                )
-                measured.observe(abs(record.measured), op=record.op)
-        if TRACER.enabled:
-            TRACER.add_span(
-                f"noise/{record.op}",
-                ts_us=float(record.op_id),
-                dur_us=1.0,
-                category="noise",
-                track="noise" if not record.label else f"noise/{record.label}",
-                args={
-                    "predicted_std_log2": record.predicted_std_log2,
-                    "measured": record.measured,
-                    "sigma": record.sigma,
-                },
-            )
+            measured.observe(abs(record.measured), op=record.op)
+        TRACER.add_span(
+            f"noise/{record.op}",
+            ts_us=float(record.op_id),
+            dur_us=1.0,
+            category="noise",
+            track="noise" if not record.label else f"noise/{record.label}",
+            args={
+                "predicted_std_log2": record.predicted_std_log2,
+                "measured": record.measured,
+                "sigma": record.sigma,
+            },
+        )
 
     # -- reads ----------------------------------------------------------
     def record_of(self, ct: Any) -> Optional[NoiseRecord]:
@@ -419,37 +412,28 @@ class NoiseTracker:
             }
 
 
-#: Process-wide noise tracker (disabled until enabled explicitly or via
-#: :func:`repro.observability.enable` / :func:`noise_tracking`).
+#: Process-wide noise tracker (records while telemetry is on).
 NOISE = NoiseTracker()
 
 
 @contextmanager
-def noise_tracking(
-    lwe_key: Any = None,
-    clear: bool = True,
-    tracker: Optional[NoiseTracker] = None,
-) -> Iterator[NoiseTracker]:
-    """Enable just the noise tracker for a ``with`` block.
+def noise_tracking(lwe_key: Any = None) -> Iterator[NoiseTracker]:
+    """Switch telemetry on for a ``with`` block, as
+    :func:`repro.observability.telemetry` does, and yield :data:`NOISE`.
 
     Pass ``lwe_key`` (the client secret key) to measure real phase errors
-    alongside the predictions; the key is dropped again on exit.  With
-    ``clear`` (default) the record buffer is reset on entry so the block
-    observes only itself.
+    alongside the predictions; the key is dropped again on exit.
     """
-    active = tracker if tracker is not None else NOISE
-    prior_enabled = active.enabled
-    prior_key = active._debug_key
-    if clear:
-        active.reset()
+    from . import telemetry
+
+    prior_key = NOISE._debug_key
     if lwe_key is not None:
-        active.register_debug_key(lwe_key)
-    active.enable()
+        NOISE.register_debug_key(lwe_key)
     try:
-        yield active
+        with telemetry():
+            yield NOISE
     finally:
-        active.enabled = prior_enabled
-        active._debug_key = prior_key
+        NOISE._debug_key = prior_key
 
 
 def drift_report(

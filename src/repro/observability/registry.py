@@ -2,9 +2,9 @@
 
 The registry is the accounting half of :mod:`repro.observability`.  Hot
 paths (the blind-rotation loop, the FFT engines, the HBM model) register
-their metrics once at import time and then update them through a single
-``enabled`` check, so the instrumented code costs one attribute read and
-one branch per site when telemetry is off.
+their metrics once at import time and then update them behind the one
+telemetry switch (``BUS.enabled``), so the instrumented code costs one
+attribute read and one branch per site when telemetry is off.
 
 Design points:
 
@@ -13,7 +13,7 @@ Design points:
 - *thread safety*: each metric guards its series map with a lock; reads
   (:meth:`MetricsRegistry.snapshot`) take the same locks, so snapshots
   are consistent per metric;
-- *zero overhead when disabled*: ``update -> if not registry.enabled:
+- *zero overhead when disabled*: ``update -> if not BUS.enabled:
   return`` is the whole disabled path (verified by
   ``benchmarks/bench_observability_overhead.py``);
 - *snapshot/reset*: :meth:`MetricsRegistry.snapshot` returns plain dicts
@@ -47,8 +47,7 @@ class _Metric:
 
     kind = "untyped"
 
-    def __init__(self, registry: "MetricsRegistry", name: str, help: str = ""):
-        self.registry = registry
+    def __init__(self, name: str, help: str = ""):
         self.name = name
         self.help = help
         self._lock = threading.Lock()
@@ -87,16 +86,15 @@ class Counter(_Metric):
     kind = "counter"
 
     def inc(self, amount: float = 1.0, **labels: Any) -> None:
-        if not self.registry.enabled:
+        if not _BUS.enabled:
             return
         if amount < 0:
             raise ValueError(f"counter {self.name} cannot decrease")
         key = _label_key(labels)
         with self._lock:
             self._series[key] = self._series.get(key, 0.0) + amount
-        if _BUS.enabled:
-            _BUS.publish("metric", self.name, value=amount,
-                         metric="counter", labels=labels)
+        _BUS.publish("metric", self.name, value=amount,
+                     metric="counter", labels=labels)
 
 
 class Gauge(_Metric):
@@ -105,25 +103,23 @@ class Gauge(_Metric):
     kind = "gauge"
 
     def set(self, value: float, **labels: Any) -> None:
-        if not self.registry.enabled:
+        if not _BUS.enabled:
             return
         key = _label_key(labels)
         with self._lock:
             self._series[key] = float(value)
-        if _BUS.enabled:
-            _BUS.publish("metric", self.name, value=float(value),
-                         metric="gauge", labels=labels)
+        _BUS.publish("metric", self.name, value=float(value),
+                     metric="gauge", labels=labels)
 
     def inc(self, amount: float = 1.0, **labels: Any) -> None:
-        if not self.registry.enabled:
+        if not _BUS.enabled:
             return
         key = _label_key(labels)
         with self._lock:
             new_value = self._series.get(key, 0.0) + amount
             self._series[key] = new_value
-        if _BUS.enabled:
-            _BUS.publish("metric", self.name, value=new_value,
-                         metric="gauge", labels=labels)
+        _BUS.publish("metric", self.name, value=new_value,
+                     metric="gauge", labels=labels)
 
     def dec(self, amount: float = 1.0, **labels: Any) -> None:
         self.inc(-amount, **labels)
@@ -140,10 +136,10 @@ class Quantile(_Metric):
 
     kind = "quantile"
 
-    def __init__(self, registry: "MetricsRegistry", name: str, help: str = "",
+    def __init__(self, name: str, help: str = "",
                  relative_accuracy: float = DEFAULT_RELATIVE_ACCURACY,
                  quantiles: Iterable[float] = DEFAULT_QUANTILES):
-        super().__init__(registry, name, help)
+        super().__init__(name, help)
         self.relative_accuracy = float(relative_accuracy)
         self.quantiles = tuple(float(q) for q in quantiles)
 
@@ -158,7 +154,7 @@ class Quantile(_Metric):
 
     def observe(self, value: float, count: int = 1, **labels: Any) -> None:
         """Fold ``count`` observations of ``value`` into the sketch."""
-        if not self.registry.enabled:
+        if not _BUS.enabled:
             return
         key = _label_key(labels)
         with self._lock:
@@ -167,9 +163,8 @@ class Quantile(_Metric):
                 sketch = QuantileSketch(self.relative_accuracy)
                 self._series[key] = sketch
             sketch.add(value, count)
-        if _BUS.enabled:
-            _BUS.publish("metric", self.name, value=value,
-                         metric="quantile", count=count, labels=labels)
+        _BUS.publish("metric", self.name, value=value,
+                     metric="quantile", count=count, labels=labels)
 
     def sketch(self, **labels: Any) -> Optional[QuantileSketch]:
         """Copy of the sketch behind one label set (None if never fed)."""
@@ -190,15 +185,14 @@ class Quantile(_Metric):
 
 
 class MetricsRegistry:
-    """Named collection of metrics with one shared on/off switch.
+    """Named collection of metrics, recording while telemetry is on.
 
     Registration is idempotent: asking for an existing name returns the
     existing metric (so module-level registration and tests compose), but
     re-registering under a different type raises.
     """
 
-    def __init__(self, enabled: bool = False):
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._metrics: Dict[str, _Metric] = {}
 
@@ -213,7 +207,7 @@ class MetricsRegistry:
                         f"metric {name!r} already registered as {existing.kind}"
                     )
                 return existing
-            metric = cls(self, name, help, **kwargs)
+            metric = cls(name, help, **kwargs)
             self._metrics[name] = metric
             return metric
 
@@ -231,12 +225,6 @@ class MetricsRegistry:
                               quantiles=quantiles)
 
     # -- lifecycle ------------------------------------------------------
-    def enable(self) -> None:
-        self.enabled = True
-
-    def disable(self) -> None:
-        self.enabled = False
-
     def reset(self) -> None:
         """Zero every metric's series; registrations survive."""
         with self._lock:

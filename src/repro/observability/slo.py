@@ -46,7 +46,7 @@ from __future__ import annotations
 import collections
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple
 
 from .bus import BUS, TelemetryBus, TelemetryEvent
 from .flightrec import report_anomaly
@@ -178,7 +178,7 @@ class SLORegistry:
     def __len__(self) -> int:
         return len(self._objectives)
 
-    def __iter__(self):
+    def __iter__(self) -> Iterator[Any]:
         return iter(self._objectives.values())
 
 

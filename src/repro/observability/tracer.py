@@ -61,26 +61,19 @@ class Span:
 
 
 class Tracer:
-    """Append-only span buffer with an on/off switch.
+    """Append-only span buffer, recording while telemetry is on.
 
-    Like the metrics registry, the disabled path is a single attribute
-    read and branch; nothing is allocated and ``perf_counter`` is never
-    called.
+    Like the metrics registry, the disabled path is a single read of the
+    telemetry switch (``BUS.enabled``) and a branch; nothing is allocated
+    and ``perf_counter`` is never called.
     """
 
-    def __init__(self, enabled: bool = False):
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._spans: List[Span] = []
         self._epoch = time.perf_counter()
 
     # -- lifecycle ------------------------------------------------------
-    def enable(self) -> None:
-        self.enabled = True
-
-    def disable(self) -> None:
-        self.enabled = False
-
     def reset(self) -> None:
         with self._lock:
             self._spans.clear()
@@ -101,7 +94,7 @@ class Tracer:
         their ``parent_id`` against.  Outside any trace, spans record
         without trace identity, exactly as before.
         """
-        if not self.enabled:
+        if not _BUS.enabled:
             yield None
             return
         span_ctx = ctx if ctx is not None else _context.child_of(_context.current())
@@ -136,16 +129,15 @@ class Tracer:
         args: Optional[dict] = None,
     ) -> None:
         """Record a span with explicit timestamps (simulated-time friendly)."""
-        if not self.enabled:
+        if not _BUS.enabled:
             return
         span = Span(name, float(ts_us), float(dur_us), category, track,
                     dict(args or {}))
         with self._lock:
             self._spans.append(span)
-        if _BUS.enabled:
-            _BUS.publish("span", name, value=span.dur_us, ts_us=span.ts_us,
-                         dur_us=span.dur_us, category=category, track=track,
-                         args=span.args)
+        _BUS.publish("span", name, value=span.dur_us, ts_us=span.ts_us,
+                     dur_us=span.dur_us, category=category, track=track,
+                     args=span.args)
 
     # -- reads ----------------------------------------------------------
     def spans(self) -> List[Span]:
@@ -171,9 +163,9 @@ def traced(name: Optional[str] = None, category: str = "", track: str = "main",
 
         @functools.wraps(fn)
         def wrapper(*args: Any, **kwargs: Any) -> Any:
-            active = tracer if tracer is not None else _global_tracer()
-            if not active.enabled:
+            if not _BUS.enabled:
                 return fn(*args, **kwargs)
+            active = tracer if tracer is not None else _global_tracer()
             with active.span(span_name, category=category, track=track):
                 return fn(*args, **kwargs)
 

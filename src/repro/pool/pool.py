@@ -238,10 +238,9 @@ class BootstrapPool:
                                 precision=self.precision)
             )
             carrier = trace_context.inject(root)
-            if obs.BUS.enabled:
-                obs.BUS.publish("workload", "pool/run", value=float(self.workers),
-                                workers=self.workers, backend=self.backend,
-                                precision=self.precision)
+            obs.BUS.publish("workload", "pool/run", value=float(self.workers),
+                            workers=self.workers, backend=self.backend,
+                            precision=self.precision)
 
         self._shared = SharedSpectrumTable.publish(self.keyset, self.precision)
         atexit.register(self._atexit_cleanup)

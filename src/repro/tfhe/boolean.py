@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..observability import NOISE as _NOISE
+from ..observability import BUS as _BUS, NOISE as _NOISE
 from .ops import GATE_LUTS, TfheContext
 
 __all__ = ["Wire", "Circuit", "ripple_carry_adder", "equality_comparator", "less_than_comparator", "multiplexer"]
@@ -170,7 +170,7 @@ class Circuit:
         values = {}
 
         def _annotate(node_id: int) -> None:
-            if _NOISE.enabled:
+            if _BUS.enabled:
                 # Tie the provenance record back to the circuit DAG so the
                 # noise waterfall reads in circuit terms, not op soup.
                 record = _NOISE.record_of(values[node_id])

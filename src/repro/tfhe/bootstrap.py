@@ -143,7 +143,7 @@ def blind_rotate_batch(
         else:
             acc[active] = sub + update
         total_steps += steps
-    if total_steps and _METRICS.enabled:
+    if total_steps and _BUS.enabled:
         _BR_STEPS.inc(total_steps)
     return acc
 
@@ -182,7 +182,7 @@ def blind_rotate(
         rotated = glwe_rotate(acc, t)
         acc = cmux(keyset.bsk[i], acc, rotated, engine=engine)
         steps += 1
-    if steps and _METRICS.enabled:
+    if steps and _BUS.enabled:
         _BR_STEPS.inc(steps)
     return acc
 
@@ -302,20 +302,18 @@ def programmable_bootstrap(
                       engine=engine, n=params.n, N=params.N):
         if engine == "transform":
             return programmable_bootstrap_batch([ct], test_poly, keyset)[0]
-        t0 = time.perf_counter() if (_METRICS.enabled or _BUS.enabled) else None
+        t0 = time.perf_counter() if _BUS.enabled else None
         a_tilde, b_tilde = modulus_switch(ct, params.N)
         acc = blind_rotate(a_tilde, b_tilde, test_poly, keyset, engine=engine)
         extracted = sample_extract(acc, 0)
         result = key_switch(extracted, keyset.ksk)
-    _BOOTSTRAPS.inc()
     if t0 is not None:
         elapsed = time.perf_counter() - t0
+        _BOOTSTRAPS.inc()
         _BOOTSTRAP_LATENCY.observe(elapsed, batch=1, engine=engine)
-        if _BUS.enabled:
-            _BUS.publish("request", "tfhe/bootstrap", value=elapsed,
-                         count=1, batch=1, n=params.n, N=params.N,
-                         engine=engine, backend=_active_backend_name())
-    if _NOISE.enabled:
+        _BUS.publish("request", "tfhe/bootstrap", value=elapsed,
+                     count=1, batch=1, n=params.n, N=params.N,
+                     engine=engine, backend=_active_backend_name())
         _track_bootstrap(result, ct, test_poly, keyset, "programmable_bootstrap")
     return result
 
@@ -383,7 +381,7 @@ def programmable_bootstrap_batch(
         cts = LweBatch.from_ciphertexts(inputs)
     batch = cts.size
     params = keyset.params
-    t0 = time.perf_counter() if (_METRICS.enabled or _BUS.enabled) else None
+    t0 = time.perf_counter() if _BUS.enabled else None
     try:
         tps = check_batch_inputs(cts, test_polys, params)
         with _TRACER.span("programmable_bootstrap_batch", category="tfhe",
@@ -397,25 +395,23 @@ def programmable_bootstrap_batch(
         _report_anomaly("exception", where="programmable_bootstrap_batch",
                         error=repr(exc), batch=batch)
         raise
-    _BOOTSTRAPS.inc(batch)
     if t0 is not None:
         # Every request in the batch experiences the whole batch's
         # wall-clock latency, so the sample is count-weighted by `batch`.
         elapsed = time.perf_counter() - t0
+        _BOOTSTRAPS.inc(batch)
         _BOOTSTRAP_LATENCY.observe(elapsed, count=batch,
                                    batch=batch, precision=precision)
-        if _BUS.enabled:
-            _BUS.publish("request", "tfhe/bootstrap_batch", value=elapsed,
-                         count=batch, batch=batch, n=params.n, N=params.N,
-                         precision=precision, backend=_active_backend_name())
-    if _BUS.enabled:
+        _BUS.publish("request", "tfhe/bootstrap_batch", value=elapsed,
+                     count=batch, batch=batch, n=params.n, N=params.N,
+                     precision=precision, backend=_active_backend_name())
         _BUS.publish("batch", "tfhe/bootstrap_batch", value=float(batch),
                      n=params.n, N=params.N, precision=precision,
                      backend=_active_backend_name())
     if inputs is None:
         return out
     results = list(out)
-    if _NOISE.enabled:
+    if _BUS.enabled:
         tp_rows = np.broadcast_to(tps, (batch, params.N))
         for r in range(batch):
             label = noise_labels[r] if noise_labels is not None else None

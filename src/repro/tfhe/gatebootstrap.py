@@ -19,7 +19,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from ..observability import NOISE as _NOISE, REGISTRY as _METRICS
+from ..observability import BUS as _BUS, NOISE as _NOISE, REGISTRY as _METRICS
 from .bootstrap import programmable_bootstrap_batch
 from .keys import KeySet
 from .lwe import (
@@ -66,7 +66,7 @@ def encrypt_bool(bit: int, keyset: KeySet, rng: np.random.Generator) -> LweCiphe
 
 def decrypt_bool(ct: LweCiphertext, keyset: KeySet) -> int:
     """Decrypt a ``+-1/8`` encoded bit by its sign."""
-    if _NOISE.enabled:
+    if _BUS.enabled:
         record = _NOISE.record_of(ct)
         if record is not None:
             # Sign decision boundaries sit at 0 and 1/2 on the torus.

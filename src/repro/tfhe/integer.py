@@ -25,7 +25,7 @@ from __future__ import annotations
 from contextlib import nullcontext
 from dataclasses import dataclass
 
-from ..observability import NOISE as _NOISE
+from ..observability import BUS as _BUS, NOISE as _NOISE
 from .lwe import LweCiphertext, lwe_add
 from .ops import TfheContext
 
@@ -49,7 +49,7 @@ _NULL = nullcontext()
 
 def _scope(label: str):
     """Noise-telemetry label scope; the shared no-op when tracking is off."""
-    return _NOISE.labelled(label) if _NOISE.enabled else _NULL
+    return _NOISE.labelled(label) if _BUS.enabled else _NULL
 
 
 @dataclass

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..observability import NOISE as _NOISE
+from ..observability import BUS as _BUS, NOISE as _NOISE
 from .torus import TORUS_DTYPE, to_torus, torus_scalar_mul, torus_words, u32
 
 __all__ = [
@@ -95,7 +95,7 @@ def lwe_encrypt(
     mask_dot = int(np.sum(a.astype(np.uint64) * key.bits.astype(np.uint64)))
     b = u32(mask_dot + int(m_torus) + int(e))
     ct = LweCiphertext(a, b)
-    if _NOISE.enabled:
+    if _BUS.enabled:
         _NOISE.track(ct, "lwe_encrypt", (2.0 ** noise_log2) ** 2, int(m_torus))
     return ct
 
@@ -109,7 +109,7 @@ def lwe_decrypt_phase(ct: LweCiphertext, key: LweSecretKey) -> np.uint32:
 def lwe_trivial(m_torus: int, n: int) -> LweCiphertext:
     """Noiseless, keyless encryption of ``m_torus`` (mask = 0)."""
     ct = LweCiphertext(np.zeros(n, dtype=TORUS_DTYPE), TORUS_DTYPE(m_torus))
-    if _NOISE.enabled:
+    if _BUS.enabled:
         _NOISE.track(ct, "lwe_trivial", 0.0, int(m_torus))
     return ct
 
@@ -119,7 +119,7 @@ def lwe_add(x: LweCiphertext, y: LweCiphertext) -> LweCiphertext:
     if x.n != y.n:
         raise ValueError("LWE dimensions differ")
     out = LweCiphertext(x.a + y.a, u32(int(x.b) + int(y.b)))
-    if _NOISE.enabled:
+    if _BUS.enabled:
         _NOISE.track_linear(out, "lwe_add", [(1, x), (1, y)])
     return out
 
@@ -129,7 +129,7 @@ def lwe_sub(x: LweCiphertext, y: LweCiphertext) -> LweCiphertext:
     if x.n != y.n:
         raise ValueError("LWE dimensions differ")
     out = LweCiphertext(x.a - y.a, u32(int(x.b) - int(y.b)))
-    if _NOISE.enabled:
+    if _BUS.enabled:
         _NOISE.track_linear(out, "lwe_sub", [(1, x), (-1, y)])
     return out
 
@@ -137,7 +137,7 @@ def lwe_sub(x: LweCiphertext, y: LweCiphertext) -> LweCiphertext:
 def lwe_neg(x: LweCiphertext) -> LweCiphertext:
     """Homomorphic negation."""
     out = LweCiphertext((-x.a.astype(np.int64)).astype(TORUS_DTYPE), u32(-int(x.b)))
-    if _NOISE.enabled:
+    if _BUS.enabled:
         _NOISE.track_linear(out, "lwe_neg", [(-1, x)])
     return out
 
@@ -148,7 +148,7 @@ def lwe_scalar_mul(scalar: int, x: LweCiphertext) -> LweCiphertext:
         torus_scalar_mul(scalar, x.a),
         torus_scalar_mul(scalar, np.asarray(x.b))[()],
     )
-    if _NOISE.enabled:
+    if _BUS.enabled:
         _NOISE.track_linear(out, "lwe_scalar_mul", [(int(scalar), x)])
     return out
 
@@ -156,7 +156,7 @@ def lwe_scalar_mul(scalar: int, x: LweCiphertext) -> LweCiphertext:
 def lwe_add_plain(x: LweCiphertext, m_torus: int) -> LweCiphertext:
     """Add a plaintext torus numerator to the body."""
     out = LweCiphertext(x.a.copy(), u32(int(x.b) + int(m_torus)))
-    if _NOISE.enabled:
+    if _BUS.enabled:
         _NOISE.track_linear(out, "lwe_add_plain", [(1, x)],
                             plain_offset=int(m_torus))
     return out

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..observability import NOISE as _NOISE
+from ..observability import BUS as _BUS, NOISE as _NOISE
 from ..params import TFHEParams
 from .bootstrap import programmable_bootstrap, programmable_bootstrap_batch
 from .encoding import make_test_polynomial, message_to_signed, signed_to_message
@@ -90,7 +90,7 @@ class TfheContext:
     def decrypt(self, ct: LweCiphertext, p: int = None) -> int:
         """Decrypt and decode back to ``Z_p``."""
         p = p or self.default_p
-        if _NOISE.enabled:
+        if _BUS.enabled:
             record = _NOISE.record_of(ct)
             if record is not None:
                 # Decode rounds to the nearest multiple of q/p; the margin
@@ -136,7 +136,7 @@ class TfheContext:
             outs = []
             for r, (ct, lut_half) in enumerate(zip(cts, lut_halves)):
                 label = noise_labels[r] if noise_labels is not None else None
-                if label is not None and _NOISE.enabled:
+                if label is not None and _BUS.enabled:
                     with _NOISE.labelled(label):
                         outs.append(self.apply_lut(ct, lut_half, p))
                 else:
@@ -163,12 +163,12 @@ class TfheContext:
                 raise ValueError(
                     f"unknown gate {name!r}; known: {sorted(GATE_LUTS)}"
                 ) from None
-            if _NOISE.enabled:
+            if _BUS.enabled:
                 with _NOISE.labelled(f"gate:{name}"):
                     sums.append(lwe_add(x, y))
             else:
                 sums.append(lwe_add(x, y))
-        labels = [f"gate:{name}" for name in names] if _NOISE.enabled else None
+        labels = [f"gate:{name}" for name in names] if _BUS.enabled else None
         return self.apply_lut_batch(sums, luts, p=8, noise_labels=labels)
 
     def bootstrap(self, ct: LweCiphertext, p: int = None) -> LweCiphertext:
@@ -182,7 +182,7 @@ class TfheContext:
             lut = GATE_LUTS[name]
         except KeyError:
             raise ValueError(f"unknown gate {name!r}; known: {sorted(GATE_LUTS)}") from None
-        if _NOISE.enabled:
+        if _BUS.enabled:
             with _NOISE.labelled(f"gate:{name}"):
                 return self.apply_lut(lwe_add(x, y), lut, p=8)
         return self.apply_lut(lwe_add(x, y), lut, p=8)

@@ -17,7 +17,7 @@ from typing import Tuple
 
 import numpy as np
 
-from ..observability import REGISTRY as _METRICS
+from ..observability import BUS as _BUS, REGISTRY as _METRICS
 from .backends import active_backend as _active_backend
 
 __all__ = [
@@ -58,7 +58,7 @@ def fft(x: np.ndarray) -> np.ndarray:
     compute backend, so every backend is accounted identically.
     """
     x = _as_complex(x)
-    if _METRICS.enabled:
+    if _BUS.enabled:
         _count_transforms(x.shape, "forward")
     return _active_backend().fft(x)
 
@@ -69,7 +69,7 @@ def ifft(x: np.ndarray) -> np.ndarray:
     Dispatches to the active compute backend, like :func:`fft`.
     """
     x = _as_complex(x)
-    if _METRICS.enabled:
+    if _BUS.enabled:
         _count_transforms(x.shape, "inverse")
     return _active_backend().ifft(x)
 

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro import observability as obs
 from repro.analysis.failprob import (
     LOG2_PROB_FLOOR,
     WorkloadFailureReport,
@@ -53,15 +54,16 @@ class TestGaussianTail:
 
 
 def tracker_with_points(points):
-    tr = NoiseTracker(enabled=True)
-    for kind, margin, variance in points:
-        tr.record_failure_point(kind, margin, variance)
+    tr = NoiseTracker()
+    with obs.telemetry():
+        for kind, margin, variance in points:
+            tr.record_failure_point(kind, margin, variance)
     return tr
 
 
 class TestWorkloadReport:
     def test_empty_tracker_reports_floor(self):
-        report = estimate_failure_probability(NoiseTracker(enabled=True))
+        report = estimate_failure_probability(NoiseTracker())
         assert report.points == ()
         assert report.total_log2_prob == LOG2_PROB_FLOOR
         assert report.worst is None

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import observability as obs
 from repro.analysis.profile import (
     PROFILE_SCHEMA_VERSION,
     collect_profile,
@@ -13,7 +14,7 @@ from repro.analysis.profile import (
 )
 from repro.core.accelerator import MorphlingConfig
 from repro.core.simulator import simulate_bootstrap
-from repro.observability import COUNTERS, to_jsonable
+from repro.observability import to_jsonable
 from repro.params import get_params
 
 
@@ -71,7 +72,7 @@ class TestProfileShape:
         assert "what-if" in rendered
 
     def test_collect_does_not_leave_counters_enabled(self, profile):
-        assert not COUNTERS.enabled
+        assert not obs.is_enabled()
 
 
 class TestWhatIfs:

@@ -23,6 +23,15 @@ def keyset(ctx):
 
 
 @pytest.fixture()
+def telemetry_on():
+    """Telemetry switched on, every recorder reset, for one test."""
+    from repro import observability as obs
+
+    with obs.telemetry():
+        yield
+
+
+@pytest.fixture()
 def radix2_backend():
     """Register the radix-2 test oracle as the ``radix2`` compute backend.
 

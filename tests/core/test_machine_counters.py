@@ -14,7 +14,8 @@ from repro.core.accelerator import MorphlingConfig
 from repro.core.isa import DmaOp, VpuOp, XpuOp
 from repro.core.machine import MorphlingMachine
 from repro.core.scheduler import LayerDemand, SwScheduler
-from repro.observability import COUNTERS, counting
+from repro import observability as obs
+from repro.observability import COUNTERS
 from repro.tfhe import identity_test_polynomial
 from repro.verify.program import _STAGE_ORDER
 
@@ -33,10 +34,10 @@ def machine(ctx):
 def _traced_stages(ctx, machine, messages):
     tp = identity_test_polynomial(ctx.params, P)
     cts = [ctx.encrypt(m, P) for m in messages]
-    with counting() as bank:
+    with obs.telemetry():
         outs = machine.bootstrap_batch(cts, tp)
-        events = bank.events_on("machine/stages")
-        snapshot = bank.snapshot()
+        events = COUNTERS.events_on("machine/stages")
+        snapshot = COUNTERS.snapshot()
     assert [ctx.decrypt(o, P) for o in outs] == messages
     return events, snapshot
 

@@ -124,7 +124,7 @@ def regenerate():
 
     os.makedirs(GOLDEN_DIR, exist_ok=True)
     bus = make_bus()
-    rec = FlightRecorder(enabled=True)
+    rec = FlightRecorder()
     rec.attach(bus)
     with JsonlEventLog(GOLDEN_JSONL, bus=bus):
         run_scenario(bus)

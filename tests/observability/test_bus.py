@@ -197,16 +197,14 @@ class TestSystemHooks:
         assert [e.value for e in seen] == [2.0, 5.0]
 
     def test_disabled_registry_never_reaches_bus(self):
-        """Bus on, registry off: the hook sits inside the enabled path."""
+        """Telemetry off: the hook sits inside the enabled path."""
         seen = []
-        obs.BUS.enable()
+        obs.disable()
         obs.BUS.subscribe(seen.append)
         try:
             obs.REGISTRY.counter("bus_hook_off_total").inc()
         finally:
             obs.BUS.unsubscribe(seen.append)
-            obs.BUS.disable()
-            obs.BUS.reset()
         assert seen == []
 
     def test_noise_tracker_publishes_noise_and_failure_events(self, ctx):

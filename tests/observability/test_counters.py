@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro import observability as obs
-from repro.observability import COUNTERS, PerfCounters, counting, counter_track_events
+from repro.observability import COUNTERS, PerfCounters, counter_track_events
 from repro.core.accelerator import MorphlingConfig
 from repro.core.simulator import simulate_bootstrap
 from repro.params import get_params
@@ -22,8 +22,8 @@ class TestPerfCounters:
         assert len(bank) == 0
         assert bank.cycles("xpu") == 0.0
 
-    def test_all_five_kinds_record_when_enabled(self):
-        bank = PerfCounters(enabled=True)
+    def test_all_five_kinds_record_when_enabled(self, telemetry_on):
+        bank = PerfCounters()
         bank.add_cycles("xpu", 10.0)
         bank.add_cycles("xpu", 5.0)
         bank.add_bytes("hbm/channel/0", 64.0)
@@ -41,8 +41,8 @@ class TestPerfCounters:
         assert bank.events_on("machine/stages") == ["modulus_switch", "blind_rotate"]
         assert bank.tracks() == ["buffer/shared"]
 
-    def test_negative_increments_rejected(self):
-        bank = PerfCounters(enabled=True)
+    def test_negative_increments_rejected(self, telemetry_on):
+        bank = PerfCounters()
         with pytest.raises(ValueError):
             bank.add_cycles("xpu", -1.0)
         with pytest.raises(ValueError):
@@ -50,16 +50,16 @@ class TestPerfCounters:
         with pytest.raises(ValueError):
             bank.add_ops("rotator/streams", -1.0)
 
-    def test_reset_clears_values_but_not_enabled(self):
-        bank = PerfCounters(enabled=True)
+    def test_reset_clears_values_but_not_enabled(self, telemetry_on):
+        bank = PerfCounters()
         bank.add_cycles("xpu", 1.0)
         bank.event("machine/stages", "key_switch")
         bank.reset()
         assert len(bank) == 0
-        assert bank.enabled
+        assert obs.is_enabled()
 
-    def test_snapshot_shape_and_sorted_keys(self):
-        bank = PerfCounters(enabled=True)
+    def test_snapshot_shape_and_sorted_keys(self, telemetry_on):
+        bank = PerfCounters()
         bank.add_cycles("b", 1.0)
         bank.add_cycles("a", 2.0)
         bank.sample("track", 0.5, 3.0)
@@ -73,8 +73,8 @@ class TestPerfCounters:
         assert snap["events"] == [["t", "e"]]
         json.dumps(snap)  # must already be plain JSON types
 
-    def test_digest_is_stable_and_content_sensitive(self):
-        a, b = PerfCounters(enabled=True), PerfCounters(enabled=True)
+    def test_digest_is_stable_and_content_sensitive(self, telemetry_on):
+        a, b = PerfCounters(), PerfCounters()
         for bank in (a, b):
             bank.add_cycles("xpu", 7.0)
             bank.sample("buffer/shared", 0.0, 2.0)
@@ -84,51 +84,25 @@ class TestPerfCounters:
 
 
 class TestCountingContext:
-    def test_counting_enables_and_restores(self):
-        assert not COUNTERS.enabled
-        with counting() as bank:
-            assert bank is COUNTERS
-            assert COUNTERS.enabled
-            COUNTERS.add_cycles("x", 1.0)
-        assert not COUNTERS.enabled
-        assert COUNTERS.cycles("x") == 1.0
-        COUNTERS.reset()
-
-    def test_counting_clears_by_default_but_can_append(self):
-        with counting():
-            COUNTERS.add_cycles("x", 1.0)
-        with counting(clear=False):
-            COUNTERS.add_cycles("x", 1.0)
-        assert COUNTERS.cycles("x") == 2.0
-        with counting():
-            pass
-        assert COUNTERS.cycles("x") == 0.0
-
-    def test_counting_private_bank(self):
-        bank = PerfCounters()
-        with counting(counters=bank) as active:
-            assert active is bank
-            bank.add_ops("op")
-        assert not bank.enabled
-        assert not COUNTERS.enabled
-        assert bank.ops("op") == 1.0
-
     def test_observability_toggles_include_counters(self):
+        obs.reset()
         obs.enable()
         try:
-            assert COUNTERS.enabled
+            COUNTERS.add_cycles("x", 1.0)
             assert obs.is_enabled()
         finally:
             obs.disable()
-            obs.reset()
-        assert not COUNTERS.enabled
+        assert COUNTERS.cycles("x") == 1.0
+        obs.reset()
+        COUNTERS.add_cycles("x", 1.0)
+        assert COUNTERS.cycles("x") == 0.0
 
 
 class TestSimulatorCounters:
     def test_simulator_populates_every_counter_kind(self):
-        with counting() as bank:
+        with obs.telemetry():
             report = simulate_bootstrap(MorphlingConfig(), get_params("I"))
-            snap = bank.snapshot()
+            snap = COUNTERS.snapshot()
         assert snap["cycles"]["xpu/stage/rotation"] > 0
         assert snap["cycles"]["vpu/stage/key_switch"] > 0
         cfg = MorphlingConfig()
@@ -150,16 +124,16 @@ class TestSimulatorCounters:
     def test_two_identical_runs_identical_snapshots(self):
         snaps = []
         for _ in range(2):
-            with counting() as bank:
+            with obs.telemetry():
                 simulate_bootstrap(MorphlingConfig(), get_params("III"))
-                snaps.append((bank.snapshot(), bank.digest()))
+                snaps.append((COUNTERS.snapshot(), COUNTERS.digest()))
         assert snaps[0] == snaps[1]
 
     def test_xpu_byte_counters_match_traffic_model(self):
         cfg, params = MorphlingConfig(), get_params("I")
-        with counting() as bank:
+        with obs.telemetry():
             report = simulate_bootstrap(cfg, params)
-            snap = bank.snapshot()
+            snap = COUNTERS.snapshot()
         xpu_total = sum(
             snap["bytes"][f"hbm/channel/{ch}"]
             for ch in range(cfg.xpu_hbm_channels)
@@ -169,8 +143,8 @@ class TestSimulatorCounters:
 
 
 class TestCounterTrackEvents:
-    def test_sample_and_event_shapes(self):
-        bank = PerfCounters(enabled=True)
+    def test_sample_and_event_shapes(self, telemetry_on):
+        bank = PerfCounters()
         bank.sample("buffer/shared", 1e-6, 42.0)
         bank.event("machine/stages", "blind_rotate")
         events = counter_track_events(bank)
@@ -183,7 +157,7 @@ class TestCounterTrackEvents:
         instant = next(e for e in events if e["ph"] == "i")
         assert instant["name"] == "blind_rotate"
 
-    def test_accepts_snapshot_dict(self):
-        bank = PerfCounters(enabled=True)
+    def test_accepts_snapshot_dict(self, telemetry_on):
+        bank = PerfCounters()
         bank.sample("t", 0.0, 1.0)
         assert counter_track_events(bank.snapshot()) == counter_track_events(bank)

@@ -35,8 +35,8 @@ class TestLifecycle:
             pass
         assert tr._current_label() == ""
 
-    def test_reset_clears_records_but_keeps_key(self):
-        tr = NoiseTracker(enabled=True)
+    def test_reset_clears_records_but_keeps_key(self, telemetry_on):
+        tr = NoiseTracker()
         tr.register_debug_key(SimpleNamespace(bits=None))
         tr.track(ct(), "lwe_encrypt", 1e-12, 5)
         tr.record_failure_point("decode", 0.1, 1e-12)
@@ -46,17 +46,17 @@ class TestLifecycle:
         assert tr.measuring
 
     def test_noise_tracking_restores_prior_state(self):
-        tr = NoiseTracker()
-        with noise_tracking(tracker=tr) as active:
-            assert active is tr
-            assert tr.enabled
-        assert not tr.enabled
-        assert not tr.measuring
+        with noise_tracking(SimpleNamespace(bits=None)) as active:
+            assert active is obs.NOISE
+            assert obs.is_enabled() and active.measuring
+        assert not obs.is_enabled()
+        assert not obs.NOISE.measuring
 
 
+@pytest.mark.usefixtures("telemetry_on")
 class TestRecording:
     def test_track_attaches_record(self):
-        tr = NoiseTracker(enabled=True)
+        tr = NoiseTracker()
         x = ct()
         record = tr.track(x, "lwe_encrypt", 4e-14, 123, note="fresh")
         assert tr.record_of(x) is record
@@ -66,12 +66,12 @@ class TestRecording:
         assert record.measured is None and record.sigma is None
 
     def test_expected_shadow_reduces_mod_q(self):
-        tr = NoiseTracker(enabled=True)
+        tr = NoiseTracker()
         record = tr.track(ct(), "lwe_neg", 1e-14, -5)
         assert record.expected == _Q - 5
 
     def test_linear_op_propagates_variance_and_shadow(self):
-        tr = NoiseTracker(enabled=True)
+        tr = NoiseTracker()
         x, y = ct(), ct()
         tr.track(x, "lwe_encrypt", 1e-14, 100)
         tr.track(y, "lwe_encrypt", 3e-14, 200)
@@ -82,7 +82,7 @@ class TestRecording:
 
     def test_duplicate_operand_weights_merge_before_squaring(self):
         """x + x quadruples the variance - the correlated-operand case."""
-        tr = NoiseTracker(enabled=True)
+        tr = NoiseTracker()
         x = ct()
         tr.track(x, "lwe_encrypt", 1e-14, 100)
         record = tr.track_linear(ct(), "lwe_add", [(1, x), (1, x)])
@@ -90,7 +90,7 @@ class TestRecording:
         assert record.expected == 200
 
     def test_untracked_operand_leaves_output_untracked(self):
-        tr = NoiseTracker(enabled=True)
+        tr = NoiseTracker()
         x, stranger = ct(), ct()
         tr.track(x, "lwe_encrypt", 1e-14, 100)
         out = ct()
@@ -98,7 +98,7 @@ class TestRecording:
         assert tr.record_of(out) is None
 
     def test_plain_offset_shifts_shadow_not_variance(self):
-        tr = NoiseTracker(enabled=True)
+        tr = NoiseTracker()
         x = ct()
         tr.track(x, "lwe_encrypt", 1e-14, 100)
         record = tr.track_linear(ct(), "lwe_add_plain", [(1, x)],
@@ -107,7 +107,7 @@ class TestRecording:
         assert record.predicted_variance == pytest.approx(1e-14)
 
     def test_labels_nest(self):
-        tr = NoiseTracker(enabled=True)
+        tr = NoiseTracker()
         with tr.labelled("int:add"):
             with tr.labelled("gate:xor"):
                 inner = tr.track(ct(), "programmable_bootstrap", 1e-14, 0)
@@ -118,7 +118,7 @@ class TestRecording:
         assert outside.label == ""
 
     def test_failure_point_defaults_to_latest_record(self):
-        tr = NoiseTracker(enabled=True)
+        tr = NoiseTracker()
         tr.track(ct(), "programmable_bootstrap", 1e-14, 0)
         tr.record_failure_point("bootstrap_decision", 0.05, 2e-14)
         (point,) = tr.failure_points()
@@ -130,15 +130,16 @@ class TestRecording:
         class Slotted:
             __slots__ = ()
 
-        tr = NoiseTracker(enabled=True)
+        tr = NoiseTracker()
         record = tr.track(Slotted(), "lwe_encrypt", 1e-14, 0)
         assert record is not None  # recorded in the buffer...
         assert tr.record_of(Slotted()) is None  # ...but not attachable
 
 
+@pytest.mark.usefixtures("telemetry_on")
 class TestDrift:
     def _tracker_with_measurements(self, errors, std=1e-7):
-        tr = NoiseTracker(enabled=True)
+        tr = NoiseTracker()
         for err in errors:
             record = tr.track(ct(), "lwe_encrypt", std * std, 0)
             record.measured = err
@@ -159,7 +160,7 @@ class TestDrift:
         assert not drift.within_envelope
 
     def test_unmeasured_class_reports_envelope_but_zero_count(self):
-        tr = NoiseTracker(enabled=True)
+        tr = NoiseTracker()
         tr.track(ct(), "lwe_add", 1e-14, 0)
         (drift,) = drift_report(tr)
         assert drift.measured_count == 0
@@ -167,15 +168,16 @@ class TestDrift:
         assert drift.measured_rms == 0.0
 
     def test_classes_sorted_by_op_name(self):
-        tr = NoiseTracker(enabled=True)
+        tr = NoiseTracker()
         tr.track(ct(), "lwe_encrypt", 1e-14, 0)
         tr.track(ct(), "lwe_add", 1e-14, 0)
         assert [d.op for d in drift_report(tr)] == ["lwe_add", "lwe_encrypt"]
 
 
+@pytest.mark.usefixtures("telemetry_on")
 class TestExport:
     def test_snapshot_is_plain_data(self):
-        tr = NoiseTracker(enabled=True)
+        tr = NoiseTracker()
         x = ct()
         tr.track(x, "lwe_encrypt", 1e-14, 100)
         tr.track_linear(ct(), "lwe_add", [(1, x)])
@@ -187,7 +189,7 @@ class TestExport:
         assert snap["failure_points"][0]["kind"] == "decode"
 
     def test_waterfall_events_carry_flows_and_counters(self):
-        tr = NoiseTracker(enabled=True)
+        tr = NoiseTracker()
         x = ct()
         tr.track(x, "lwe_encrypt", 1e-14, 100)
         with tr.labelled("gate:nand"):

@@ -4,12 +4,13 @@ import threading
 
 import pytest
 
+from repro import observability as obs
 from repro.observability.registry import MetricsRegistry
 
 
 @pytest.fixture()
-def reg():
-    return MetricsRegistry(enabled=True)
+def reg(telemetry_on):
+    return MetricsRegistry()
 
 
 class TestCounter:
@@ -32,7 +33,7 @@ class TestCounter:
             reg.counter("mono_total").inc(-1)
 
     def test_disabled_is_noop(self):
-        reg = MetricsRegistry(enabled=False)
+        reg = MetricsRegistry()
         c = reg.counter("off_total")
         c.inc(100)
         assert c.value() is None
@@ -41,8 +42,8 @@ class TestCounter:
         reg = MetricsRegistry()
         c = reg.counter("toggle_total")
         c.inc()
-        reg.enable()
-        c.inc()
+        with obs.telemetry():
+            c.inc()
         assert c.value() == 1
 
 

@@ -160,8 +160,8 @@ class TestSketchEdges:
 # Quantile metric kind
 # ---------------------------------------------------------------------------
 class TestQuantileMetric:
-    def test_observe_snapshot_and_merged(self):
-        reg = MetricsRegistry(enabled=True)
+    def test_observe_snapshot_and_merged(self, telemetry_on):
+        reg = MetricsRegistry()
         q = reg.quantile("req_latency_seconds", "per-request latency")
         q.observe(0.010, count=3, shard="a")
         q.observe(0.020, shard="b")
@@ -175,15 +175,15 @@ class TestQuantileMetric:
         assert q.sketch(shard="a").count == 3
 
     def test_disabled_registry_records_nothing(self):
-        reg = MetricsRegistry(enabled=False)
+        reg = MetricsRegistry()
         q = reg.quantile("off_seconds")
         q.observe(1.0)
         assert q.merged() is None
 
-    def test_prometheus_renders_quantile_as_summary(self):
+    def test_prometheus_renders_quantile_as_summary(self, telemetry_on):
         from repro.observability.export import render_prometheus
 
-        reg = MetricsRegistry(enabled=True)
+        reg = MetricsRegistry()
         reg.quantile("lat_seconds", "latency").observe(0.5, count=10)
         text = render_prometheus(reg.snapshot())
         assert "# TYPE lat_seconds summary" in text

@@ -22,8 +22,8 @@ from repro.params import get_params
 
 
 class TestTracer:
-    def test_span_records_when_enabled(self):
-        tr = Tracer(enabled=True)
+    def test_span_records_when_enabled(self, telemetry_on):
+        tr = Tracer()
         with tr.span("work", category="test", detail=42):
             pass
         (span,) = tr.spans()
@@ -33,27 +33,27 @@ class TestTracer:
         assert span.dur_us >= 0
 
     def test_span_noop_when_disabled(self):
-        tr = Tracer(enabled=False)
+        tr = Tracer()
         with tr.span("work"):
             pass
         assert len(tr) == 0
 
-    def test_add_span_simulated_time(self):
-        tr = Tracer(enabled=True)
+    def test_add_span_simulated_time(self, telemetry_on):
+        tr = Tracer()
         tr.add_span("xpu", ts_us=10.0, dur_us=5.0, track="sim/xpu")
         (span,) = tr.spans()
         assert span.ts_us == 10.0
         assert span.end_us == 15.0
         assert span.track == "sim/xpu"
 
-    def test_reset_clears(self):
-        tr = Tracer(enabled=True)
+    def test_reset_clears(self, telemetry_on):
+        tr = Tracer()
         tr.add_span("x", 0, 1)
         tr.reset()
         assert len(tr) == 0
 
-    def test_traced_decorator(self):
-        tr = Tracer(enabled=True)
+    def test_traced_decorator(self, telemetry_on):
+        tr = Tracer()
 
         @traced(name="named", category="deco", tracer=tr)
         def fn(x):
@@ -64,7 +64,7 @@ class TestTracer:
         assert span.name == "named"
 
     def test_traced_decorator_disabled_passthrough(self):
-        tr = Tracer(enabled=False)
+        tr = Tracer()
 
         @traced(tracer=tr)
         def fn():
@@ -105,8 +105,8 @@ class TestToJsonable:
 
 
 class TestPrometheus:
-    def test_counter_gauge_quantile_exposition(self):
-        reg = MetricsRegistry(enabled=True)
+    def test_counter_gauge_quantile_exposition(self, telemetry_on):
+        reg = MetricsRegistry()
         reg.counter("c_total", "counts things").inc(3, kind="a")
         reg.gauge("g").set(1.5)
         reg.quantile("q").observe(5)
@@ -124,8 +124,8 @@ class TestPrometheus:
 
 
 class TestChromeTrace:
-    def test_tracer_spans_to_events(self):
-        tr = Tracer(enabled=True)
+    def test_tracer_spans_to_events(self, telemetry_on):
+        tr = Tracer()
         tr.add_span("a", 0, 10, track="t1")
         tr.add_span("b", 5, 2, track="t2", args={"k": 1})
         events = chrome_trace_events(tr.spans())
@@ -152,8 +152,8 @@ class TestChromeTrace:
             trace.total_cycles() / (cfg.clock_ghz * 1e3)
         )
 
-    def test_write_chrome_trace_loads_as_json(self, tmp_path):
-        tr = Tracer(enabled=True)
+    def test_write_chrome_trace_loads_as_json(self, tmp_path, telemetry_on):
+        tr = Tracer()
         tr.add_span("a", 0, 10)
         path = tmp_path / "trace.json"
         write_chrome_trace(path, chrome_trace_events(tr.spans()),

@@ -243,6 +243,21 @@ class TestFleetTelemetry:
         assert all(e.fields.get("backend") == "numpy" for e in requests)
 
 
+    def test_telemetry_pool_keeps_callers_telemetry(self, ctx, workload, tmp_path):
+        """Inside a caller's telemetry block the pool neither wipes what
+        the caller recorded nor switches telemetry off when it closes."""
+        _, cts, tp = workload
+        with obs.telemetry():
+            obs.COUNTERS.add_ops("caller/probe", 5)
+            with BootstrapPool(
+                ctx.keyset, workers=1, telemetry_dir=str(tmp_path)
+            ) as pool:
+                pool.bootstrap_batch(cts[:2], tp)
+            assert obs.COUNTERS.ops("caller/probe") == 5
+            assert obs.is_enabled()
+        assert not obs.is_enabled()
+
+
 class TestLifecycleHygiene:
     def test_no_segment_leak_on_clean_shutdown(self, ctx, workload):
         _, cts, tp = workload

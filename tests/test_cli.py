@@ -161,7 +161,7 @@ class TestProfileCommand:
         from repro import observability as obs
 
         assert main(["profile", "--set", "I", "--no-what-if"]) == 0
-        assert not obs.COUNTERS.enabled
+        assert not obs.is_enabled()
 
 
 class TestMetricsCommand:
@@ -238,7 +238,7 @@ class TestNoiseCommand:
         from repro import observability as obs
 
         assert main(["noise", "--workload", "gates"]) == 0
-        assert not obs.NOISE.enabled
+        assert not obs.is_enabled()
         assert not obs.NOISE.measuring
 
 

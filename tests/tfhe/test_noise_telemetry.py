@@ -10,6 +10,7 @@ measured phase errors inside the analytic envelope.
 import pytest
 
 from repro import TEST_PARAMS
+from repro import observability as obs
 from repro.observability import NOISE, drift_report, noise_tracking
 from repro.tfhe.integer import add_integers, decrypt_integer, encrypt_integer
 from repro.tfhe.lwe import lwe_add, lwe_scalar_mul
@@ -130,7 +131,7 @@ class TestHigherLayers:
 
 class TestDisabledPath:
     def test_disabled_tracker_leaves_ciphertexts_bare(self, ctx):
-        assert not NOISE.enabled  # tier-1 default
+        assert not obs.is_enabled()  # tier-1 default
         NOISE.reset()
         out = ctx.gate("nand", ctx.encrypt(1), ctx.encrypt(0))
         assert NOISE.record_of(out) is None
@@ -139,5 +140,5 @@ class TestDisabledPath:
     def test_tracking_block_leaves_no_residue(self, ctx):
         with noise_tracking(ctx.keyset.lwe_key):
             ctx.gate("or", ctx.encrypt(1), ctx.encrypt(0))
-        assert not NOISE.enabled
+        assert not obs.is_enabled()
         assert not NOISE.measuring
